@@ -209,7 +209,7 @@ def run(config: RunConfig) -> int:
     """Execute one analysis: report on stdout, diagnostics on stderr."""
     try:
         text = Path(config.input_path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"memload: cannot read input: {exc}", file=sys.stderr)
         return 1
     collect = _collect_dep_profiles if config.format == "dep" else _collect_tree_profiles

@@ -10,8 +10,9 @@ hand each error to a callback and skip the sentence.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "TreebankError",
@@ -148,107 +149,7 @@ class ConstituencyTree:
         return f"({self.label} {inner})"
 
 
-class _Token(NamedTuple):
-    text: str
-    line: int
-    column: int
-
-
 _TOKEN_RE = re.compile(r"[()]|[^()\s]+")
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        for match in _TOKEN_RE.finditer(line):
-            tokens.append(_Token(match.group(), line_no, match.start() + 1))
-    return tokens
-
-
-def _toplevel_groups(
-    tokens: list[_Token],
-) -> Iterator[tuple[list[_Token], PtbParseError | None]]:
-    """Split the token stream into balanced top-level groups.
-
-    A stray closing bracket, an unclosed opening bracket, or a bare word at
-    the top level forms a one-off group carrying its error, so one bad
-    sentence cannot poison the rest of the file.
-    """
-    i, n = 0, len(tokens)
-    while i < n:
-        tok = tokens[i]
-        if tok.text == "(":
-            depth, j = 0, i
-            while j < n:
-                text = tokens[j].text
-                if text == "(":
-                    depth += 1
-                elif text == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            if depth == 0:
-                yield tokens[i : j + 1], None
-                i = j + 1
-            else:
-                yield tokens[i:], UnbalancedBrackets(
-                    "unclosed '('", tok.line, tok.column
-                )
-                i = n
-        elif tok.text == ")":
-            yield [tok], UnbalancedBrackets("unmatched ')'", tok.line, tok.column)
-            i += 1
-        else:
-            yield [tok], LeafWithoutLabel(
-                f"surface token {tok.text!r} outside any tree", tok.line, tok.column
-            )
-            i += 1
-
-
-def _parse_node(tokens: list[_Token], i: int) -> tuple[ConstituencyTree, int]:
-    # tokens[i] is the opening bracket; the group is known to be balanced.
-    open_tok = tokens[i]
-    head = tokens[i + 1]
-    if head.text == ")":
-        raise EmptyTree("empty node", open_tok.line, open_tok.column)
-    if head.text == "(":
-        raise PtbParseError("node without a label", open_tok.line, open_tok.column)
-    label = head.text
-    children: list[ConstituencyTree] = []
-    j = i + 2
-    while tokens[j].text != ")":
-        if tokens[j].text == "(":
-            child, j = _parse_node(tokens, j)
-            children.append(child)
-        else:
-            children.append(ConstituencyTree.word(tokens[j].text))
-            j += 1
-    if not children:
-        raise EmptyTree(
-            f"node {label!r} has no children", open_tok.line, open_tok.column
-        )
-    return ConstituencyTree.phrase(label, children), j + 1
-
-
-def _parse_group(tokens: list[_Token]) -> list[ConstituencyTree]:
-    if tokens[1].text != "(":
-        tree, _ = _parse_node(tokens, 0)
-        return [tree]
-    # Unlabeled wrapper "( ... )": unwrap to the trees it holds.
-    trees = []
-    i = 1
-    while tokens[i].text != ")":
-        if tokens[i].text != "(":
-            tok = tokens[i]
-            raise LeafWithoutLabel(
-                f"surface token {tok.text!r} directly under an unlabeled wrapper",
-                tok.line,
-                tok.column,
-            )
-        tree, i = _parse_node(tokens, i)
-        trees.append(tree)
-    return trees
 
 
 def parse_ptb_corpus(
@@ -262,15 +163,71 @@ def parse_ptb_corpus(
     callback each error is reported to it and the sentence skipped.
     """
     trees: list[ConstituencyTree] = []
-    for group, err in _toplevel_groups(_tokenize(text)):
-        try:
-            if err is not None:
-                raise err
-            trees.extend(_parse_group(group))
-        except PtbParseError as exc:
-            if on_error is None:
-                raise
-            on_error(exc)
+    # Open nodes, outermost first, as [label, children, offset of "("].  The
+    # label is None until its token arrives and "" for an unlabeled wrapper,
+    # whose children are the trees it holds.
+    stack: list[list] = []
+    # Errors found inside the open top-level group.  Only the first is
+    # reported, when the group closes, and only that group is skipped, so one
+    # bad sentence cannot poison the rest of the file.
+    errors: list[tuple[type[PtbParseError], str, int]] = []
+    line_starts: list[int] = []
+
+    def report(kind: type[PtbParseError], message: str, offset: int) -> None:
+        if not line_starts:
+            # Number lines exactly as str.splitlines does.
+            line_starts.append(0)
+            for line in text.splitlines(keepends=True):
+                line_starts.append(line_starts[-1] + len(line))
+        line = bisect_right(line_starts, offset)
+        exc = kind(message, line, offset - line_starts[line - 1] + 1)
+        if on_error is None:
+            raise exc
+        on_error(exc)
+
+    for match in _TOKEN_RE.finditer(text):
+        token, offset = match.group(), match.start()
+        if token == "(":
+            if not stack:
+                group_start = len(trees)
+            elif stack[-1][0] is None:
+                if len(stack) == 1:
+                    stack[0][0] = ""
+                else:
+                    errors.append((PtbParseError, "node without a label", stack[-1][2]))
+            stack.append([None, [], offset])
+        elif not stack:
+            if token == ")":
+                report(UnbalancedBrackets, "unmatched ')'", offset)
+            else:
+                message = f"surface token {token!r} outside any tree"
+                report(LeafWithoutLabel, message, offset)
+        elif token != ")":
+            node = stack[-1]
+            if node[0] is None:
+                node[0] = token
+            elif node[0]:
+                node[1].append(ConstituencyTree.word(token))
+            else:
+                message = f"surface token {token!r} directly under an unlabeled wrapper"
+                errors.append((LeafWithoutLabel, message, offset))
+        else:
+            label, children, start = stack.pop()
+            if label is None:
+                errors.append((EmptyTree, "empty node", start))
+            elif not children:
+                errors.append((EmptyTree, f"node {label!r} has no children", start))
+            elif label:
+                parent = stack[-1][1] if stack else trees
+                parent.append(ConstituencyTree.phrase(label, children))
+            else:
+                trees.extend(children)
+            if errors and not stack:
+                del trees[group_start:]
+                report(*errors[0])
+                errors.clear()
+    if stack:
+        report(UnbalancedBrackets, "unclosed '('", stack[0][2])
     return trees
 
 

@@ -161,6 +161,18 @@ def test_unreadable_input_exits_one(capsys):
     assert "cannot read" in err
 
 
+def test_non_utf8_input_exits_one(tmp_path, capsys):
+    corpus = tmp_path / "latin1.ptb"
+    corpus.write_bytes(b"(S (N \xff))")
+    code, out, err = run_cli(
+        capsys,
+        "--input", str(corpus), "--format", "ptb", "--method", "yngve-word",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("memload: cannot read input: ")
+
+
 def test_bad_sentences_skipped_and_counted(tmp_path, capsys):
     corpus = tmp_path / "mixed.ptb"
     corpus.write_text("(S (N a))\n(X)\n(S (N b) (V c))\n", encoding="utf-8")

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treegen
 from memload.treebank import (
@@ -152,9 +155,10 @@ def test_nested_unlabeled_node_rejected():
         parse_ptb_corpus("(S ((N w)))")
 
 
-def test_error_position_on_later_line():
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_error_position_on_later_line(newline):
     with pytest.raises(EmptyTree) as info:
-        parse_ptb_corpus("(S (N a))\n(S (X) (N b))")
+        parse_ptb_corpus(f"(S (N a)){newline}(S (X) (N b))")
     assert info.value.line == 2
     assert info.value.column == 4
 
@@ -174,6 +178,58 @@ def test_unclosed_bracket_poisons_only_its_tail():
     trees = parse_ptb_corpus("(S (N a)) (S (N b)", on_error=errors.append)
     assert [leaf_surfaces(t) for t in trees] == [["a"]]
     assert len(errors) == 1
+    # An error inside the unclosed tail is not reported on its own: the tail
+    # yields one UnbalancedBrackets at its opening bracket.
+    errors.clear()
+    trees = parse_ptb_corpus("(S (N a)) (S (X) (N b)", on_error=errors.append)
+    assert [leaf_surfaces(t) for t in trees] == [["a"]]
+    assert len(errors) == 1
+    assert isinstance(errors[0], UnbalancedBrackets)
+    assert (errors[0].line, errors[0].column) == (1, 11)
+
+
+def test_bad_tree_skips_its_whole_wrapper():
+    errors: list[PtbParseError] = []
+    trees = parse_ptb_corpus("( (S (N a)) (X) ) (S (N b))", on_error=errors.append)
+    assert [leaf_surfaces(t) for t in trees] == [["b"]]
+    assert len(errors) == 1
+    assert isinstance(errors[0], EmptyTree)
+
+
+def test_deeply_nested_tree():
+    depth = 5000
+    [tree] = parse_ptb_corpus("(S " * depth + "w" + ")" * depth)
+    # Walk down in a loop: ==, to_bracketed and leaves still recurse.
+    levels = 0
+    while not tree.is_leaf:
+        assert tree.label == "S" and len(tree.children) == 1
+        tree = tree.children[0]
+        levels += 1
+    assert levels == depth
+    assert tree.surface == "w"
+
+
+PTB_TOKEN_RE = re.compile(r"[()]|[^()\s]+")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(
+            ["(", ")", "S", "NP", "-NONE-", "w", "dog", " ", "\t", "\n", "\r", "\r\n"]
+        ),
+        max_size=60,
+    ).map("".join)
+)
+def test_errors_point_at_tokens(text):
+    errors: list[PtbParseError] = []
+    parse_ptb_corpus(text, on_error=errors.append)
+    lines = text.splitlines()
+    for error in errors:
+        assert 1 <= error.line <= len(lines)
+        line = lines[error.line - 1]
+        token_starts = {m.start() + 1 for m in PTB_TOKEN_RE.finditer(line)}
+        assert error.column in token_starts, (error, line)
 
 
 def test_round_trip_random_trees():
