@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .depload import LeftwardHead, ensure_rightward, load_profile
 from .profiles import DepthProfile
@@ -30,11 +30,25 @@ from .treebank import (
 
 __all__ = ["InvalidConfig", "RunConfig", "METHODS", "build_parser", "run", "main"]
 
-METHODS = ("dep-load", "yngve-word", "sampson-word", "yngve-np", "sampson-np")
-FORMATS = ("ptb", "dep")
-OUTPUT_FORMATS = ("text", "csv", "json")
 
-_SCHEMES = {"yngve": NumberingScheme.YNGVE, "sampson": NumberingScheme.SAMPSON}
+class _Method(NamedTuple):
+    """What one --method measures: its input format, numbering and unit."""
+
+    format: str
+    scheme: NumberingScheme | None  # None: dependency load
+    measures_nps: bool = False
+
+
+METHODS = {
+    "dep-load": _Method("dep", None),
+    "yngve-word": _Method("ptb", NumberingScheme.YNGVE),
+    "sampson-word": _Method("ptb", NumberingScheme.SAMPSON),
+    "yngve-np": _Method("ptb", NumberingScheme.YNGVE, measures_nps=True),
+    "sampson-np": _Method("ptb", NumberingScheme.SAMPSON, measures_nps=True),
+}
+# In the order --help has always listed them: ptb first.
+FORMATS = tuple(dict.fromkeys(m.format for m in reversed(METHODS.values())))
+OUTPUT_FORMATS = ("text", "csv", "json")
 
 
 class InvalidConfig(ValueError):
@@ -46,11 +60,10 @@ class RunConfig:
     """One fully validated analysis request."""
 
     input_path: Path
-    format: str
     method: str
     coordination_adjust: bool = True
     strip_punctuation: bool = True
-    np_selector: str = "all"
+    maximal_np: bool = False
     output_format: str = "text"
     thresholds: tuple[int, ...] = DEFAULT_THRESHOLDS
     strict: bool = False
@@ -111,7 +124,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     Raises InvalidConfig when the method does not fit the input format or a
     flag does not apply to it.
     """
-    if (args.method == "dep-load") != (args.format == "dep"):
+    if METHODS[args.method].format != args.format:
         raise InvalidConfig(
             "method dep-load requires --format dep; tree methods require --format ptb"
         )
@@ -127,11 +140,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise InvalidConfig("--strict-rightward applies only to --format dep")
     return RunConfig(
         input_path=Path(args.input),
-        format=args.format,
         method=args.method,
         coordination_adjust=not args.no_coord_adjust,
         strip_punctuation=not args.keep_punct,
-        np_selector=args.np_selector or "all",
+        maximal_np=args.np_selector == "maximal",
         output_format=args.output,
         thresholds=_parse_thresholds(args.thresholds),
         strict=args.strict,
@@ -151,58 +163,40 @@ def _parse_thresholds(text: str) -> tuple[int, ...]:
     return thresholds
 
 
-def _metric_config(config: RunConfig) -> MetricConfig:
-    scheme_name, _, unit = config.method.partition("-")
-    return MetricConfig(
-        scheme=_SCHEMES[scheme_name],
-        coordination_adjust=config.coordination_adjust,
-        unit=unit,
-        np_selector=config.np_selector,
-    )
-
-
-def _collect_dep_profiles(
+def _collect_profiles(
     text: str, config: RunConfig
 ) -> tuple[list[DepthProfile], int, int]:
+    """Parse and measure every sentence; returns profiles, attempted, skipped."""
+    method = METHODS[config.method]
     errors: list[TreebankError] = []
-    sentences = parse_dep_corpus(
-        text, on_error=None if config.strict else errors.append
-    )
+    on_error = None if config.strict else errors.append
+    if method.scheme is None:
+        sentences = parse_dep_corpus(text, on_error=on_error)
+
+        def measure(sentence):
+            if config.strict_rightward:
+                ensure_rightward(sentence)
+            return load_profile(sentence)
+
+    else:
+        sentences = parse_ptb_corpus(text, on_error=on_error)
+        opts = NormalizationOptions(strip_punctuation=config.strip_punctuation)
+        metric = MetricConfig(method.scheme, config.coordination_adjust, config.maximal_np)
+        depths = np_depths if method.measures_nps else word_depths
+
+        def measure(tree):
+            return depths(normalize_tree(tree, opts), metric)
+
     skipped = len(errors)
     profiles = []
     for sentence in sentences:
-        if config.strict_rightward:
-            try:
-                ensure_rightward(sentence)
-            except LeftwardHead:
-                if config.strict:
-                    raise
-                skipped += 1
-                continue
-        profiles.append(load_profile(sentence))
-    return profiles, len(sentences) + len(errors), skipped
-
-
-def _collect_tree_profiles(
-    text: str, config: RunConfig
-) -> tuple[list[DepthProfile], int, int]:
-    errors: list[TreebankError] = []
-    trees = parse_ptb_corpus(text, on_error=None if config.strict else errors.append)
-    skipped = len(errors)
-    opts = NormalizationOptions(strip_punctuation=config.strip_punctuation)
-    metric = _metric_config(config)
-    measure = word_depths if metric.unit == "word" else np_depths
-    profiles = []
-    for tree in trees:
         try:
-            cleaned = normalize_tree(tree, opts)
-        except EmptyAfterNormalization:
+            profiles.append(measure(sentence))
+        except (LeftwardHead, EmptyAfterNormalization):
             if config.strict:
                 raise
             skipped += 1
-            continue
-        profiles.append(measure(cleaned, metric))
-    return profiles, len(trees) + len(errors), skipped
+    return profiles, len(sentences) + len(errors), skipped
 
 
 def run(config: RunConfig) -> int:
@@ -212,9 +206,8 @@ def run(config: RunConfig) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"memload: cannot read input: {exc}", file=sys.stderr)
         return 1
-    collect = _collect_dep_profiles if config.format == "dep" else _collect_tree_profiles
     try:
-        profiles, attempted, skipped = collect(text, config)
+        profiles, attempted, skipped = _collect_profiles(text, config)
     except TreebankError as exc:
         print(f"memload: {exc}", file=sys.stderr)
         return 1

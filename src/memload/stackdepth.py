@@ -46,22 +46,16 @@ class NumberingScheme(Enum):
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """What to measure and how to number branches.
+    """How to number branches, and which NP nodes np_depths measures.
 
-    unit "word" measures every leaf; unit "np" measures NP nodes, either
-    every one ("all") or only those without an NP ancestor ("maximal").
+    The unit is chosen by the function called: word_depths measures every
+    leaf, np_depths every NP node, or with maximal_np only those without an
+    NP ancestor.
     """
 
     scheme: NumberingScheme
     coordination_adjust: bool = True
-    unit: str = "word"
-    np_selector: str = "all"
-
-    def __post_init__(self) -> None:
-        if self.unit not in ("word", "np"):
-            raise ValueError(f"unknown unit {self.unit!r}")
-        if self.np_selector not in ("all", "maximal"):
-            raise ValueError(f"unknown np_selector {self.np_selector!r}")
+    maximal_np: bool = False
 
 
 def branch_numbers(n_children: int, scheme: NumberingScheme) -> list[int]:
@@ -131,21 +125,37 @@ def _child_numbers(node: ConstituencyTree, config: MetricConfig) -> list[int]:
     return branch_numbers(len(node.children), config.scheme)
 
 
+def _walk_depths(
+    tree: ConstituencyTree, config: MetricConfig, measure_nps: bool
+) -> DepthProfile:
+    """Path-sum depths of the measured units, in preorder.
+
+    Walks an explicit stack of (node, depth, inside an NP), so tree height
+    is not bounded by the recursion limit.
+    """
+    values: list[int] = []
+    stack = [(tree, 0, False)]
+    while stack:
+        node, depth, inside_np = stack.pop()
+        children = node.children
+        if not children:
+            if not measure_nps:
+                values.append(depth)
+            continue
+        is_np = node.label == "NP"
+        if measure_nps and is_np and not (config.maximal_np and inside_np):
+            values.append(depth)
+        inside_np = inside_np or is_np
+        # Pushed right to left, so the leftmost child is visited next.
+        numbers = _child_numbers(node, config)
+        for child, number in zip(reversed(children), reversed(numbers)):
+            stack.append((child, depth + number, inside_np))
+    return DepthProfile(tuple(values))
+
+
 def word_depths(tree: ConstituencyTree, config: MetricConfig) -> DepthProfile:
     """Path-sum depth of each word, left to right."""
-    if config.unit != "word":
-        raise ValueError("word_depths requires a config with unit='word'")
-    values: list[int] = []
-
-    def visit(node: ConstituencyTree, depth: int) -> None:
-        if node.is_leaf:
-            values.append(depth)
-            return
-        for child, number in zip(node.children, _child_numbers(node, config)):
-            visit(child, depth + number)
-
-    visit(tree, 0)
-    return DepthProfile(tuple(values))
+    return _walk_depths(tree, config, measure_nps=False)
 
 
 def np_depths(tree: ConstituencyTree, config: MetricConfig) -> DepthProfile:
@@ -154,21 +164,7 @@ def np_depths(tree: ConstituencyTree, config: MetricConfig) -> DepthProfile:
     The sum stops at the NP itself; material inside the phrase charges
     nothing.  A tree without any NP yields an empty profile.
     """
-    if config.unit != "np":
-        raise ValueError("np_depths requires a config with unit='np'")
-    values: list[int] = []
-
-    def visit(node: ConstituencyTree, depth: int, inside_np: bool) -> None:
-        if node.is_leaf:
-            return
-        is_np = node.label == "NP"
-        if is_np and (config.np_selector == "all" or not inside_np):
-            values.append(depth)
-        for child, number in zip(node.children, _child_numbers(node, config)):
-            visit(child, depth + number, inside_np or is_np)
-
-    visit(tree, 0, False)
-    return DepthProfile(tuple(values))
+    return _walk_depths(tree, config, measure_nps=True)
 
 
 def stack_oracle_depths(tree: ConstituencyTree) -> DepthProfile:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .profiles import DepthProfile
@@ -49,15 +50,16 @@ class Histogram:
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> Histogram:
-        return cls(dict(sorted(Counter(values).items())))
+        return _from_counts(Counter(values))
+
+
+def _from_counts(counts: Counter[int]) -> Histogram:
+    return Histogram(dict(sorted(counts.items())))
 
 
 def unit_histogram(profiles: Iterable[DepthProfile]) -> Histogram:
     """Frequencies over every individual value in the profiles."""
-    counts: Counter[int] = Counter()
-    for profile in profiles:
-        counts.update(profile.values)
-    return Histogram(dict(sorted(counts.items())))
+    return Histogram.from_values(chain.from_iterable(p.values for p in profiles))
 
 
 def sentence_histogram(profiles: Iterable[DepthProfile]) -> Histogram:
@@ -70,7 +72,7 @@ def merge_histograms(histograms: Iterable[Histogram]) -> Histogram:
     counts: Counter[int] = Counter()
     for histogram in histograms:
         counts.update(histogram.bins)
-    return Histogram(dict(sorted(counts.items())))
+    return _from_counts(counts)
 
 
 @dataclass(frozen=True)

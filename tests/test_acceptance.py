@@ -58,7 +58,6 @@ def test_criterion_1_dependency_walkthrough(capsys):
     code = run(
         RunConfig(
             input_path=DATA / "boy_doll.dep",
-            format="dep",
             method="dep-load",
             output_format="json",
         )
@@ -192,10 +191,10 @@ def test_criterion_7_synthetic_scale(tmp_path, capsys):
     dep_file.write_text(treegen.random_dep_text(seed=702, n_sentences=n_sentences))
 
     jobs = [
-        ("dep-load", RunConfig(input_path=dep_file, format="dep", method="dep-load",
+        ("dep-load", RunConfig(input_path=dep_file, method="dep-load",
                                output_format="csv")),
     ] + [
-        (method, RunConfig(input_path=ptb_file, format="ptb", method=method,
+        (method, RunConfig(input_path=ptb_file, method=method,
                            output_format="csv"))
         for method in ("yngve-word", "sampson-word", "yngve-np", "sampson-np")
     ]

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from memload.cli import main
+import memload
+from memload.cli import METHODS, main
 
 DATA = Path(__file__).parent / "data"
 DEP_FIXTURE = str(DATA / "boy_doll.dep")
@@ -100,19 +102,19 @@ def test_csv_output_with_threshold_comments(capsys):
     assert lines[5].startswith("# > 9: units 0")
 
 
-def test_method_format_mismatch_is_config_error(capsys):
-    code, _, err = run_cli(
+@pytest.mark.parametrize("method", METHODS)
+def test_method_format_mismatch_is_config_error(capsys, method):
+    wrong_format = "ptb" if METHODS[method].format == "dep" else "dep"
+    code, out, err = run_cli(
         capsys,
-        "--input", DEP_FIXTURE, "--format", "ptb", "--method", "dep-load",
+        "--input", DEP_FIXTURE, "--format", wrong_format, "--method", method,
     )
     assert code == 2
-    assert "dep-load" in err
-
-    code, _, err = run_cli(
-        capsys,
-        "--input", DEP_FIXTURE, "--format", "dep", "--method", "yngve-word",
+    assert out == ""
+    assert err == (
+        "memload: method dep-load requires --format dep; "
+        "tree methods require --format ptb\n"
     )
-    assert code == 2
 
 
 def test_tree_flags_rejected_for_dep_input(capsys):
@@ -284,12 +286,16 @@ def test_empty_corpus_renders_empty_tables(tmp_path, capsys):
 
 
 def test_module_invocation():
+    # The child imports the same memload as this process, installed or not.
+    package_root = str(Path(memload.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "memload",
          "--input", DEP_FIXTURE, "--format", "dep", "--method", "dep-load",
          "--output", "csv"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert result.returncode == 0
     assert result.stdout.startswith("value,units,sentences\n0,1,0\n")

@@ -119,13 +119,6 @@ def test_word_depths_single_chain():
     assert word_depths(tree_of("(S (X (Y (N w))))"), config(YNGVE)).values == (0,)
 
 
-def test_word_depths_unit_mismatch():
-    with pytest.raises(ValueError):
-        word_depths(tree_of(EXAMPLE), config(YNGVE, unit="np"))
-    with pytest.raises(ValueError):
-        np_depths(tree_of(EXAMPLE), config(YNGVE))
-
-
 def test_word_depths_with_adjustment_on_plain_tree_unchanged():
     tree = tree_of(EXAMPLE)
     assert word_depths(tree, config(YNGVE, adjust=True)) == word_depths(
@@ -154,6 +147,66 @@ def test_stack_oracle_single_leaf():
     tree = tree_of("(S (N w))")
     assert stack_oracle_depths(tree).values == (0,)
     assert grouped_stack_oracle_depths(tree).values == (0,)
+
+
+def test_deep_chains_do_not_recurse():
+    # Far past the recursion limit: the walk keeps its own stack.
+    depth = 50_000
+    chain = tree_of("(S " * depth + "(N w)" + ")" * depth)
+    np_chain = tree_of("(NP " * depth + "(N w)" + ")" * depth)
+    for scheme in (YNGVE, SAMPSON):
+        assert word_depths(chain, config(scheme)).values == (0,)
+        assert word_depths(np_chain, config(scheme)).values == (0,)
+        assert np_depths(chain, config(scheme)).values == ()
+        assert np_depths(np_chain, config(scheme)).values == (0,) * depth
+        assert np_depths(np_chain, config(scheme, maximal_np=True)).values == (0,)
+
+
+def np_stack_oracle(tree) -> tuple[int, ...]:
+    """Stack size when each NP is popped, as in stack_oracle_depths."""
+    values = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.label == "NP":
+            values.append(len(stack))
+        if not node.is_leaf:
+            stack.extend(reversed(node.children))
+    return tuple(values)
+
+
+def np_grouped_stack_oracle(tree) -> tuple[int, ...]:
+    """Stack size when each NP is popped, as in grouped_stack_oracle_depths."""
+    values = []
+    stack = [tree]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, tuple):
+            if len(entry) > 1:
+                stack.append(entry[1:])
+            stack.append(entry[0])
+            continue
+        if entry.label == "NP":
+            values.append(len(stack))
+        if not entry.is_leaf:
+            if len(entry.children) > 1:
+                stack.append(entry.children[1:])
+            stack.append(entry.children[0])
+    return tuple(values)
+
+
+def test_np_depths_match_the_stack_machines():
+    trees = treegen.random_trees(
+        seed=36, count=2000, max_depth=7, labels=treegen.COORD_LABELS
+    )
+    measured = 0
+    for tree in trees:
+        yngve = np_depths(tree, config(YNGVE)).values
+        sampson = np_depths(tree, config(SAMPSON)).values
+        assert yngve == np_stack_oracle(tree)
+        assert sampson == np_grouped_stack_oracle(tree)
+        measured += len(yngve) + len(sampson)
+    assert measured > 10_000
 
 
 def test_oracles_match_unadjusted_depths_on_random_trees():
@@ -207,26 +260,26 @@ def test_depth_zero_words_agree_between_schemes_unadjusted():
 
 
 def test_np_depths_example():
-    profile = np_depths(tree_of(EXAMPLE), config(YNGVE, unit="np"))
+    profile = np_depths(tree_of(EXAMPLE), config(YNGVE))
     assert profile.values == (1, 0)
     assert profile.sentence_max == 1
 
 
 def test_np_depths_without_np():
-    profile = np_depths(tree_of("(S (V run))"), config(YNGVE, unit="np"))
+    profile = np_depths(tree_of("(S (V run))"), config(YNGVE))
     assert profile.values == ()
     assert profile.sentence_max == 0
 
 
 def test_np_depth_at_root_is_zero():
-    assert np_depths(tree_of("(NP (N w))"), config(YNGVE, unit="np")).values == (0,)
+    assert np_depths(tree_of("(NP (N w))"), config(YNGVE)).values == (0,)
 
 
 NESTED_NP = "(S (NP (NP (N w)) (PP (P of) (NP (N x)))) (V v))"
 
 
 def test_np_depths_all_selector_counts_nested():
-    profile = np_depths(tree_of(NESTED_NP), config(YNGVE, unit="np"))
+    profile = np_depths(tree_of(NESTED_NP), config(YNGVE))
     # Outer NP sits under the S with one pending sibling; the first inner NP
     # adds its own pending PP; the NP inside the PP adds nothing new.
     assert profile.values == (1, 2, 1)
@@ -234,26 +287,26 @@ def test_np_depths_all_selector_counts_nested():
 
 def test_np_depths_maximal_selector_skips_nested():
     profile = np_depths(
-        tree_of(NESTED_NP), config(YNGVE, unit="np", np_selector="maximal")
+        tree_of(NESTED_NP), config(YNGVE, maximal_np=True)
     )
     assert profile.values == (1,)
 
 
 def test_np_depth_ignores_material_inside_the_phrase():
-    small = np_depths(tree_of("(S (NP (N w)) (V v))"), config(YNGVE, unit="np"))
+    small = np_depths(tree_of("(S (NP (N w)) (V v))"), config(YNGVE))
     big = np_depths(
         tree_of("(S (NP (DT the) (J big) (J red) (N w)) (V v))"),
-        config(YNGVE, unit="np"),
+        config(YNGVE),
     )
     assert small.values == big.values == (1,)
 
 
 def test_np_depths_sampson_scheme():
     text = "(S (A a) (B b) (NP (N w)))"
-    assert np_depths(tree_of(text), config(YNGVE, unit="np")).values == (0,)
+    assert np_depths(tree_of(text), config(YNGVE)).values == (0,)
     text2 = "(S (NP (N w)) (A a) (B b))"
-    assert np_depths(tree_of(text2), config(YNGVE, unit="np")).values == (2,)
-    assert np_depths(tree_of(text2), config(SAMPSON, unit="np")).values == (1,)
+    assert np_depths(tree_of(text2), config(YNGVE)).values == (2,)
+    assert np_depths(tree_of(text2), config(SAMPSON)).values == (1,)
 
 
 def test_coordinator_labels_are_exactly_cc_and_conjp():
