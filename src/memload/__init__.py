@@ -46,7 +46,6 @@ from .treebank import (
     MissingRoot,
     MultipleRoots,
     NonContiguousIndices,
-    NormalizationOptions,
     PtbParseError,
     PUNCTUATION_LABELS,
     SelfHead,
@@ -67,7 +66,6 @@ __all__ = [
     "DependencyUnit",
     "DependencySentence",
     "DepthProfile",
-    "NormalizationOptions",
     "MetricConfig",
     "NumberingScheme",
     "Histogram",

@@ -21,7 +21,6 @@ from .stackdepth import MetricConfig, NumberingScheme, np_depths, word_depths
 from .stats import DEFAULT_THRESHOLDS, render, sentence_histogram, unit_histogram
 from .treebank import (
     EmptyAfterNormalization,
-    NormalizationOptions,
     TreebankError,
     normalize_tree,
     parse_dep_corpus,
@@ -180,12 +179,12 @@ def _collect_profiles(
 
     else:
         sentences = parse_ptb_corpus(text, on_error=on_error)
-        opts = NormalizationOptions(strip_punctuation=config.strip_punctuation)
+        strip = config.strip_punctuation
         metric = MetricConfig(method.scheme, config.coordination_adjust, config.maximal_np)
         depths = np_depths if method.measures_nps else word_depths
 
         def measure(tree):
-            return depths(normalize_tree(tree, opts), metric)
+            return depths(normalize_tree(tree, strip_punctuation=strip), metric)
 
     skipped = len(errors)
     profiles = []

@@ -115,54 +115,56 @@ def render(
     text and csv list the contiguous value range 0..max with zero rows
     included; json keeps only occupied bins, keyed by the stringified
     value.  thresholds, when given, appends the exceedance report for both
-    tables; method, when given, labels the output.
+    tables; method, when given, labels the text and json output.
     """
-    if fmt == "text":
-        return _render_text(unit_hist, sentence_hist, method, thresholds)
-    if fmt == "csv":
-        return _render_csv(unit_hist, sentence_hist, thresholds)
-    if fmt == "json":
-        return _render_json(unit_hist, sentence_hist, method, thresholds)
-    raise UnsupportedFormat(f"unknown output format {fmt!r}")
-
-
-def _table_rows(
-    unit_hist: Histogram, sentence_hist: Histogram
-) -> list[tuple[int, int, int]]:
-    if not unit_hist.bins and not sentence_hist.bins:
-        return []
-    top = max(unit_hist.max_value, sentence_hist.max_value)
-    return [
-        (value, unit_hist.bins.get(value, 0), sentence_hist.bins.get(value, 0))
-        for value in range(top + 1)
-    ]
-
-
-def _paired_reports(
-    unit_hist: Histogram, sentence_hist: Histogram, thresholds: Sequence[int]
-) -> Iterable[tuple[int, int, float, int, float]]:
-    units = threshold_report(unit_hist, thresholds)
-    sentences = threshold_report(sentence_hist, thresholds)
-    return zip(
+    if fmt not in ("text", "csv", "json"):
+        raise UnsupportedFormat(f"unknown output format {fmt!r}")
+    units = threshold_report(unit_hist, thresholds or ())
+    sentences = threshold_report(sentence_hist, thresholds or ())
+    exceeded = zip(
         units.thresholds,
         units.exceed_counts,
         units.exceed_fractions,
         sentences.exceed_counts,
         sentences.exceed_fractions,
     )
-
-
-def _render_text(
-    unit_hist: Histogram,
-    sentence_hist: Histogram,
-    method: str,
-    thresholds: Sequence[int] | None,
-) -> str:
-    cells = [("value", "units", "sentences")]
-    cells += [
-        (str(value), str(units), str(sentences))
-        for value, units, sentences in _table_rows(unit_hist, sentence_hist)
+    if fmt == "json":
+        payload = {
+            "method": method,
+            "unit_histogram": {
+                str(value): count for value, count in sorted(unit_hist.bins.items())
+            },
+            "sentence_histogram": {
+                str(value): count for value, count in sorted(sentence_hist.bins.items())
+            },
+            "total_units": unit_hist.total,
+            "total_sentences": sentence_hist.total,
+            "max_value": max(unit_hist.max_value, sentence_hist.max_value),
+            "thresholds": [
+                {
+                    "threshold": t,
+                    "units_over": uc,
+                    "units_fraction": uf,
+                    "sentences_over": sc,
+                    "sentences_fraction": sf,
+                }
+                for t, uc, uf, sc, sf in exceeded
+            ],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    top = max(chain(unit_hist.bins, sentence_hist.bins), default=-1)
+    rows = [
+        (str(v), str(unit_hist.bins.get(v, 0)), str(sentence_hist.bins.get(v, 0)))
+        for v in range(top + 1)
     ]
+    if fmt == "csv":
+        lines = ["value,units,sentences"] + [",".join(row) for row in rows]
+        lines += [
+            f"# > {t}: units {uc} ({uf:.4f}), sentences {sc} ({sf:.4f})"
+            for t, uc, uf, sc, sf in exceeded
+        ]
+        return "\n".join(lines) + "\n"
+    cells = [("value", "units", "sentences"), *rows]
     cells.append(("total", str(unit_hist.total), str(sentence_hist.total)))
     widths = [max(len(row[col]) for row in cells) for col in range(3)]
     lines = [f"method: {method}"] if method else []
@@ -170,58 +172,8 @@ def _render_text(
         "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
         for row in cells
     ]
-    if thresholds is not None:
-        for t, uc, uf, sc, sf in _paired_reports(unit_hist, sentence_hist, thresholds):
-            lines.append(
-                f"> {t}: units {uc} ({uf:.2%}), sentences {sc} ({sf:.2%})"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _render_csv(
-    unit_hist: Histogram,
-    sentence_hist: Histogram,
-    thresholds: Sequence[int] | None,
-) -> str:
-    lines = ["value,units,sentences"]
     lines += [
-        f"{value},{units},{sentences}"
-        for value, units, sentences in _table_rows(unit_hist, sentence_hist)
+        f"> {t}: units {uc} ({uf:.2%}), sentences {sc} ({sf:.2%})"
+        for t, uc, uf, sc, sf in exceeded
     ]
-    if thresholds is not None:
-        for t, uc, uf, sc, sf in _paired_reports(unit_hist, sentence_hist, thresholds):
-            lines.append(f"# > {t}: units {uc} ({uf:.4f}), sentences {sc} ({sf:.4f})")
     return "\n".join(lines) + "\n"
-
-
-def _render_json(
-    unit_hist: Histogram,
-    sentence_hist: Histogram,
-    method: str,
-    thresholds: Sequence[int] | None,
-) -> str:
-    payload = {
-        "method": method,
-        "unit_histogram": {
-            str(value): count for value, count in sorted(unit_hist.bins.items())
-        },
-        "sentence_histogram": {
-            str(value): count for value, count in sorted(sentence_hist.bins.items())
-        },
-        "total_units": unit_hist.total,
-        "total_sentences": sentence_hist.total,
-        "max_value": max(unit_hist.max_value, sentence_hist.max_value),
-        "thresholds": [
-            {
-                "threshold": t,
-                "units_over": uc,
-                "units_fraction": uf,
-                "sentences_over": sc,
-                "sentences_fraction": sf,
-            }
-            for t, uc, uf, sc, sf in _paired_reports(
-                unit_hist, sentence_hist, thresholds or ()
-            )
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"

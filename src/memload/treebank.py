@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "ConstituencyTree",
     "DependencyUnit",
     "DependencySentence",
-    "NormalizationOptions",
     "PUNCTUATION_LABELS",
     "TRACE_LABEL",
     "parse_ptb_corpus",
@@ -136,17 +136,31 @@ class ConstituencyTree:
         return not self.children
 
     def leaves(self) -> Iterator[ConstituencyTree]:
-        if self.is_leaf:
-            yield self
-        else:
-            for child in self.children:
-                yield from child.leaves()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(reversed(node.children))
+            else:
+                yield node
 
     def to_bracketed(self) -> str:
-        if self.is_leaf:
-            return self.surface
-        inner = " ".join(child.to_bracketed() for child in self.children)
-        return f"({self.label} {inner})"
+        parts = []
+        # Trees still to write, and the separators and closing brackets
+        # between them, last first.
+        stack: list[ConstituencyTree | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif item.children:
+                parts.append(f"({item.label}")
+                stack.append(")")
+                for child in reversed(item.children):
+                    stack += (child, " ")
+            else:
+                parts.append(item.surface)
+        return "".join(parts)
 
 
 _TOKEN_RE = re.compile(r"[()]|[^()\s]+")
@@ -235,65 +249,50 @@ PUNCTUATION_LABELS = frozenset({".", ",", ":", "``", "''", "-LRB-", "-RRB-", "#"
 TRACE_LABEL = "-NONE-"
 
 
-@dataclass(frozen=True)
-class NormalizationOptions:
-    """Cleanup switches applied before measuring a tree; defaults all on."""
-
-    strip_punctuation: bool = True
-    strip_traces: bool = True
-    normalize_labels: bool = True
-
-
 def normalize_label(label: str) -> str:
     """Cut function tags and coindices: "NP-SBJ-1" -> "NP", "S=2" -> "S".
 
-    Labels that start with "-" ("-NONE-", "-LRB-", ...) are kept verbatim.
+    A label that would be cut to nothing ("-NONE-", "-LRB-", "=2") is kept
+    verbatim.
     """
-    if label.startswith("-"):
-        return label
-    return label.split("-", 1)[0].split("=", 1)[0]
+    return label.split("-", 1)[0].split("=", 1)[0] or label
 
 
 def normalize_tree(
-    tree: ConstituencyTree, opts: NormalizationOptions = NormalizationOptions()
+    tree: ConstituencyTree, *, strip_punctuation: bool = True
 ) -> ConstituencyTree:
     """Return a cleaned copy of the tree.
 
-    Punctuation leaves (those under ".", ",", ":", quotes, brackets, "#") and
-    trace leaves (under -NONE-) are dropped per the options, internal nodes
-    left with no children are removed all the way up, and labels lose their
-    function tags.  Raises EmptyAfterNormalization when nothing remains.
-    The pass is idempotent.
+    Labels lose their function tags, trace leaves (under -NONE-) are
+    dropped, and so are punctuation leaves (those under ".", ",", ":",
+    quotes, brackets, "#") unless strip_punctuation is off.  Internal nodes
+    left with no children are removed all the way up.  Raises
+    EmptyAfterNormalization when nothing remains.  The pass is idempotent.
     """
-    cleaned = _normalize(tree, opts)
-    if cleaned is None:
+    dropped = PUNCTUATION_LABELS if strip_punctuation else frozenset()
+    kept_root: list[ConstituencyTree] = []
+    # Open nodes as (label, drop leaves?, kept children, iterator over
+    # children), under a wrapper that keeps the cleaned tree itself.
+    stack = [("", False, kept_root, iter((tree,)))]
+    while stack:
+        label, drop_leaves, kept, children = stack[-1]
+        for child in children:
+            if child.children:
+                child_label = normalize_label(child.label)
+                drop = child_label == TRACE_LABEL or child_label in dropped
+                stack.append((child_label, drop, [], iter(child.children)))
+                break
+            if not drop_leaves:
+                kept.append(child)
+        else:
+            stack.pop()
+            if kept and stack:
+                stack[-1][2].append(ConstituencyTree.phrase(label, kept))
+    if not kept_root:
         raise EmptyAfterNormalization(
             "no pronounced material left after normalization"
         )
-    return cleaned
-
-
-def _normalize(
-    node: ConstituencyTree, opts: NormalizationOptions
-) -> ConstituencyTree | None:
-    if node.is_leaf:
-        return node
-    label = normalize_label(node.label) if opts.normalize_labels else node.label
-    drop_leaves = (opts.strip_punctuation and label in PUNCTUATION_LABELS) or (
-        opts.strip_traces and label == TRACE_LABEL
-    )
-    children = []
-    for child in node.children:
-        if child.is_leaf:
-            if not drop_leaves:
-                children.append(child)
-        else:
-            kept = _normalize(child, opts)
-            if kept is not None:
-                children.append(kept)
-    if not children:
-        return None
-    return ConstituencyTree.phrase(label, children)
+    return kept_root[0]
 
 
 @dataclass(frozen=True)
@@ -367,28 +366,23 @@ def parse_dep_corpus(
     first malformed sentence raises; with a callback each error is reported
     to it and the sentence skipped.
     """
-    blocks: list[list[tuple[int, str]]] = []
-    current: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    sentences = []
+    block: list[tuple[int, str]] = []
+    # A final blank line closes the last block at EOF.
+    for line_no, raw in enumerate(chain(text.splitlines(), [""]), start=1):
         if raw.startswith("#"):
             continue
-        if not raw.strip():
-            if current:
-                blocks.append(current)
-                current = []
+        if raw.strip():
+            block.append((line_no, raw))
             continue
-        current.append((line_no, raw))
-    if current:
-        blocks.append(current)
-
-    sentences = []
-    for block in blocks:
-        try:
-            sentences.append(_parse_block(block))
-        except DepFormatError as exc:
-            if on_error is None:
-                raise
-            on_error(exc)
+        if block:
+            try:
+                sentences.append(_parse_block(block))
+            except DepFormatError as exc:
+                if on_error is None:
+                    raise
+                on_error(exc)
+            block = []
     return sentences
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import memload
 from memload.cli import METHODS, main
@@ -214,6 +218,37 @@ def test_punctuation_only_sentence_skipped(tmp_path, capsys):
     assert "skipped 1 of 2" in err
 
 
+def test_label_cut_to_nothing_is_measured(tmp_path, capsys):
+    corpus = tmp_path / "eq.ptb"
+    corpus.write_text("(S (N ok) (=X (N w)))\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "--input", str(corpus), "--format", "ptb", "--method", "yngve-word",
+        "--output", "json",
+    )
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["unit_histogram"] == {"0": 1, "1": 1}
+
+
+@pytest.mark.parametrize("method", [m for m in METHODS if METHODS[m].format == "ptb"])
+def test_deep_tree_is_measured(tmp_path, capsys, method):
+    corpus = tmp_path / "deep.ptb"
+    depth = 50000
+    corpus.write_text(
+        "(S " * depth + "(N w)" + ")" * depth + "\n" + "(S (NP (N a)) (VP (V b)))\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(
+        capsys,
+        "--input", str(corpus), "--format", "ptb", "--method", method,
+        "--output", "json",
+    )
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["total_sentences"] == 2
+
+
 def test_keep_punct_changes_the_profile(capsys):
     code, stripped, _ = run_cli(
         capsys,
@@ -299,3 +334,28 @@ def test_module_invocation():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("value,units,sentences\n0,1,0\n")
+
+
+SOUP = st.lists(
+    st.sampled_from(
+        ["(", ")", "S", "N", "w", "=X", "-NONE-", "NP-SBJ", ",", "(, ,)",
+         "(N w)", "(=X (N w))", "0", "1", "2", "#", "\t", " ", "\n", "\n\n"]
+    ),
+    max_size=40,
+).map(lambda tokens: "".join(tokens).encode("utf-8"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    method=st.sampled_from(sorted(METHODS)),
+    data=st.one_of(SOUP, st.binary(max_size=200)),
+    strict=st.booleans(),
+)
+def test_main_never_raises(tmp_path_factory, method, data, strict):
+    corpus = tmp_path_factory.getbasetemp() / "main_never_raises.input"
+    corpus.write_bytes(data)
+    argv = ["--input", str(corpus), "--format", METHODS[method].format,
+            "--method", method] + ["--strict"] * strict
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) in (0, 1, 2)

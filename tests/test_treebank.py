@@ -21,7 +21,6 @@ from memload.treebank import (
     MissingRoot,
     MultipleRoots,
     NonContiguousIndices,
-    NormalizationOptions,
     PtbParseError,
     SelfHead,
     UnbalancedBrackets,
@@ -197,9 +196,12 @@ def test_bad_tree_skips_its_whole_wrapper():
 
 
 def test_deeply_nested_tree():
-    depth = 5000
-    [tree] = parse_ptb_corpus("(S " * depth + "w" + ")" * depth)
-    # Walk down in a loop: ==, to_bracketed and leaves still recurse.
+    depth = 50000
+    text = "(S " * depth + "w" + ")" * depth
+    [tree] = parse_ptb_corpus(text)
+    assert leaf_surfaces(tree) == ["w"]
+    # Compare strings and walk down in a loop: == still recurses.
+    assert tree.to_bracketed() == text
     levels = 0
     while not tree.is_leaf:
         assert tree.label == "S" and len(tree.children) == 1
@@ -341,6 +343,7 @@ def test_normalize_label_rules():
     assert normalize_label("NP") == "NP"
     assert normalize_label("-NONE-") == "-NONE-"
     assert normalize_label("-LRB-") == "-LRB-"
+    assert normalize_label("=2") == "=2"
 
 
 def test_normalize_strips_trailing_punctuation():
@@ -377,20 +380,16 @@ def test_normalize_everything_removed():
 
 def test_normalize_options_keep_punctuation():
     [tree] = parse_ptb_corpus("(S (N w) (. .))")
-    kept = normalize_tree(tree, NormalizationOptions(strip_punctuation=False))
+    kept = normalize_tree(tree, strip_punctuation=False)
     assert leaf_surfaces(kept) == ["w", "."]
 
 
-def test_normalize_options_keep_traces():
-    [tree] = parse_ptb_corpus("(S (-NONE- *) (N w))")
-    kept = normalize_tree(tree, NormalizationOptions(strip_traces=False))
-    assert leaf_surfaces(kept) == ["*", "w"]
-
-
-def test_normalize_options_keep_labels():
-    [tree] = parse_ptb_corpus("(S (NP-SBJ (N w)))")
-    kept = normalize_tree(tree, NormalizationOptions(normalize_labels=False))
-    assert kept.children[0].label == "NP-SBJ"
+def test_normalize_deep_chain_does_not_recurse():
+    depth = 50000
+    [tree] = parse_ptb_corpus("(S-1 " * depth + "(, ,) (N w)" + ")" * depth)
+    cleaned = normalize_tree(tree)
+    expected = "(S " * depth + "(N w)" + ")" * depth
+    assert cleaned.to_bracketed() == expected
 
 
 def test_dollar_label_is_kept():
