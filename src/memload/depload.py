@@ -23,14 +23,23 @@ def load_profile(sentence: DependencySentence) -> DepthProfile:
     The value at position i is the number of units j <= i whose head lies
     strictly beyond i.  The root counts as resolving at the final position,
     so the last value is always 0.  Heads pointing leftward never pend.
+
+    One sweep computes it in O(n): a running count of pending units, and
+    for each position the number of pending units that resolve there.
     """
     heads = sentence.heads
     n = len(heads)
-    resolved_at = [head if head != 0 else n for head in heads]
-    values = tuple(
-        sum(1 for j in range(i) if resolved_at[j] > i) for i in range(1, n + 1)
-    )
-    return DepthProfile(values)
+    ends = [0] * (n + 1)
+    pending = 0
+    values = []
+    for i, head in enumerate(heads, start=1):
+        resolved_at = head or n
+        if resolved_at > i:
+            pending += 1
+            ends[resolved_at] += 1
+        pending -= ends[i]
+        values.append(pending)
+    return DepthProfile(tuple(values))
 
 
 def load_profile_oracle(sentence: DependencySentence) -> DepthProfile:

@@ -162,6 +162,68 @@ class ConstituencyTree:
                 parts.append(item.surface)
         return "".join(parts)
 
+    # ==, hash() and repr() give what the dataclass would generate, but walk
+    # the tree in loops: the generated ones recurse once per level.
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (
+                a.__class__ is not b.__class__
+                or a.label != b.label
+                or a.surface != b.surface
+                or len(a.children) != len(b.children)
+            ):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        # Parents before children; hashed in reverse, children come first.
+        nodes = [self]
+        for node in nodes:
+            nodes.extend(node.children)
+        hashes: dict[int, _Hashed] = {}
+        for node in reversed(nodes):
+            children = tuple(hashes[id(child)] for child in node.children)
+            hashes[id(node)] = _Hashed(hash((node.label, children, node.surface)))
+        return hashes[id(self)].value
+
+    def __repr__(self) -> str:
+        parts = []
+        stack: list[ConstituencyTree | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            children = item.children
+            parts.append(f"{item.__class__.__qualname__}(label={item.label!r}, children=(")
+            comma = "," if len(children) == 1 else ""
+            stack.append(f"{comma}), surface={item.surface!r})")
+            for k in range(len(children) - 1, -1, -1):
+                stack.append(children[k])
+                if k:
+                    stack.append(", ")
+        return "".join(parts)
+
+
+class _Hashed:
+    """Stands in for a subtree inside a tuple: hashes to the subtree's hash."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
 
 _TOKEN_RE = re.compile(r"[()]|[^()\s]+")
 
@@ -295,7 +357,7 @@ def normalize_tree(
     return kept_root[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyUnit:
     """One unit of a dependency sentence: 1-based index, surface form, head.
 
@@ -367,40 +429,47 @@ def parse_dep_corpus(
     to it and the sentence skipped.
     """
     sentences = []
-    block: list[tuple[int, str]] = []
+    units: list[DependencyUnit] = []
+    # The first malformed line of the open block; the block's later lines
+    # are not parsed, and the error is reported when the block closes.
+    error: MalformedLine | None = None
     # A final blank line closes the last block at EOF.
     for line_no, raw in enumerate(chain(text.splitlines(), [""]), start=1):
         if raw.startswith("#"):
             continue
         if raw.strip():
-            block.append((line_no, raw))
+            if error is None:
+                try:
+                    units.append(_parse_line(raw, line_no))
+                except MalformedLine as exc:
+                    error = exc
             continue
-        if block:
+        if units or error is not None:
             try:
-                sentences.append(_parse_block(block))
+                if error is not None:
+                    raise error
+                sentences.append(DependencySentence(tuple(units)))
             except DepFormatError as exc:
                 if on_error is None:
                     raise
                 on_error(exc)
-            block = []
+            units = []
+            error = None
     return sentences
 
 
-def _parse_block(lines: list[tuple[int, str]]) -> DependencySentence:
-    units = []
-    for line_no, raw in lines:
-        fields = raw.split("\t")
-        if len(fields) != 3:
-            raise MalformedLine(
-                f"expected INDEX<TAB>SURFACE<TAB>HEAD, got {len(fields)} field(s)",
-                line_no,
-            )
-        index_text, surface, head_text = fields
-        try:
-            index, head = int(index_text), int(head_text)
-        except ValueError:
-            raise MalformedLine("index and head must be integers", line_no) from None
-        if not surface:
-            raise MalformedLine("empty surface field", line_no)
-        units.append(DependencyUnit(index, surface, head))
-    return DependencySentence(tuple(units))
+def _parse_line(raw: str, line_no: int) -> DependencyUnit:
+    fields = raw.split("\t")
+    if len(fields) != 3:
+        raise MalformedLine(
+            f"expected INDEX<TAB>SURFACE<TAB>HEAD, got {len(fields)} field(s)",
+            line_no,
+        )
+    index_text, surface, head_text = fields
+    try:
+        index, head = int(index_text), int(head_text)
+    except ValueError:
+        raise MalformedLine("index and head must be integers", line_no) from None
+    if not surface:
+        raise MalformedLine("empty surface field", line_no)
+    return DependencyUnit(index, surface, head)

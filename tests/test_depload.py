@@ -79,6 +79,23 @@ def test_random_agreement_long_sentences():
         assert load_profile(sentence) == load_profile_oracle(sentence)
 
 
+def test_random_agreement_dep_long_shape():
+    # Up to 200 units, as in the benchmark's dep-long corpus.
+    for sentence in treegen.random_dep_sentences(seed=11, count=300, max_len=200):
+        assert load_profile(sentence) == load_profile_oracle(sentence)
+
+
+def test_long_sentence_closed_forms():
+    n = 20000
+    ones = (1,) * (n - 1) + (0,)
+    # Every unit waits for the final root.
+    assert profile_of([n] * (n - 1) + [0]) == tuple(range(1, n)) + (0,)
+    # Each unit is resolved by the next one.
+    assert profile_of(list(range(2, n + 1)) + [0]) == ones
+    # Root first; every other unit points left, so only the root pends.
+    assert profile_of([0] + list(range(1, n))) == ones
+
+
 def test_final_value_always_zero():
     for sentence in treegen.random_dep_sentences(seed=8, count=300):
         assert load_profile(sentence).values[-1] == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -195,12 +196,15 @@ def test_bad_tree_skips_its_whole_wrapper():
     assert isinstance(errors[0], EmptyTree)
 
 
+def deep_chain_text(depth: int) -> str:
+    return "(S " * depth + "w" + ")" * depth
+
+
 def test_deeply_nested_tree():
     depth = 50000
-    text = "(S " * depth + "w" + ")" * depth
+    text = deep_chain_text(depth)
     [tree] = parse_ptb_corpus(text)
     assert leaf_surfaces(tree) == ["w"]
-    # Compare strings and walk down in a loop: == still recurses.
     assert tree.to_bracketed() == text
     levels = 0
     while not tree.is_leaf:
@@ -209,6 +213,63 @@ def test_deeply_nested_tree():
         levels += 1
     assert levels == depth
     assert tree.surface == "w"
+
+
+@pytest.fixture(scope="module")
+def deep_chains() -> tuple[ConstituencyTree, ConstituencyTree, ConstituencyTree]:
+    """A 50,000-deep chain, a second parse of it, and a chain one level shorter."""
+    return tuple(
+        parse_ptb_corpus(deep_chain_text(depth))[0] for depth in (50000, 50000, 49999)
+    )
+
+
+def test_deep_tree_equality(deep_chains):
+    tree, same, shorter = deep_chains
+    assert tree == same and tree is not same
+    assert tree != shorter
+
+
+def test_deep_tree_hash(deep_chains):
+    tree, same, shorter = deep_chains
+    assert hash(tree) == hash(same)
+    assert len({tree, same, shorter}) == 2
+
+
+def test_deep_tree_repr(deep_chains):
+    text = repr(deep_chains[0])
+    assert text.startswith("ConstituencyTree(label='S', children=(ConstituencyTree(")
+    assert text.count("ConstituencyTree(") == 50001
+
+
+@dataclass(frozen=True)
+class TreeMirror:
+    """ConstituencyTree's fields with the dataclass-generated ==, hash and repr."""
+
+    label: str
+    children: tuple
+    surface: str
+
+
+def mirror(tree: ConstituencyTree) -> TreeMirror:
+    return TreeMirror(tree.label, tuple(map(mirror, tree.children)), tree.surface)
+
+
+def test_eq_hash_repr_match_the_dataclass_ones():
+    trees = treegen.random_trees(
+        seed=43, count=300, max_depth=5, max_branching=4, labels=treegen.MESSY_LABELS
+    )
+    for tree, other in zip(trees, trees[1:] + trees[:1]):
+        [copy] = parse_ptb_corpus(tree.to_bracketed())
+        near = ConstituencyTree.phrase(
+            tree.label, tree.children[:-1] + (ConstituencyTree.word("zz"),)
+        )
+        for b in (copy, other, near):
+            assert (tree == b) == (mirror(tree) == mirror(b))
+            assert (tree != b) == (mirror(tree) != mirror(b))
+        assert tree == copy and tree != near
+        assert hash(tree) == hash(mirror(tree)) == hash(copy)
+        assert repr(tree) == repr(mirror(tree)).replace("TreeMirror(", "ConstituencyTree(")
+    assert ConstituencyTree.word("w").__eq__("w") is NotImplemented
 
 
 PTB_TOKEN_RE = re.compile(r"[()]|[^()\s]+")
@@ -239,6 +300,34 @@ def test_round_trip_random_trees():
     for _ in range(200):
         tree = treegen.random_tree(rng, max_depth=6, max_branching=4)
         assert parse_ptb_corpus(tree.to_bracketed()) == [tree]
+
+
+PTB_TOKENS = st.text(
+    st.characters(blacklist_characters="()", blacklist_categories=("Cs",)),
+    min_size=1,
+    max_size=5,
+).filter(lambda token: not any(c.isspace() for c in token))
+PTB_TREES = st.builds(
+    ConstituencyTree.phrase,
+    PTB_TOKENS,
+    st.lists(
+        st.recursive(
+            st.builds(ConstituencyTree.word, PTB_TOKENS),
+            lambda kids: st.builds(
+                ConstituencyTree.phrase, PTB_TOKENS, st.lists(kids, min_size=1, max_size=4)
+            ),
+            max_leaves=30,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PTB_TREES)
+def test_ptb_round_trip(tree):
+    assert parse_ptb_corpus(tree.to_bracketed()) == [tree]
 
 
 def test_tree_constructor_invariants():
@@ -330,6 +419,74 @@ def test_dep_on_error_skips_bad_blocks():
     assert [s.heads for s in sentences] == [(0,), (0,)]
     assert len(errors) == 1
     assert isinstance(errors[0], SelfHead)
+
+
+def test_dep_block_reports_only_its_first_malformed_line():
+    text = "1\ta\t0\n\n1\tb\n2\tc\tx\n\n"
+    errors: list[Exception] = []
+    sentences = parse_dep_corpus(text, on_error=errors.append)
+    assert [s.heads for s in sentences] == [(0,)]
+    assert len(errors) == 1
+    assert isinstance(errors[0], MalformedLine)
+    assert errors[0].line_no == 3
+
+
+def test_dep_malformed_block_skips_only_itself():
+    text = "1\ta\tx\n2\tb\t0\n\n1\tc\t0\n\n1\td\t2\n2\te\t0\n"
+    errors: list[Exception] = []
+    sentences = parse_dep_corpus(text, on_error=errors.append)
+    assert [[u.surface for u in s.units] for s in sentences] == [["c"], ["d", "e"]]
+    assert [(type(e), e.line_no) for e in errors] == [(MalformedLine, 1)]
+
+
+def test_dep_comment_inside_block_does_not_split_it():
+    [sentence] = parse_dep_corpus("1\ta\t2\n# note\n2\tb\t0\n")
+    assert sentence.heads == (2, 0)
+
+
+def test_dep_crlf_parses_like_lf():
+    text = "# c\n1\ta\t2\n2\tb\t0\n\n1\tc\tx\n\n1\td\t0\n"
+    runs = []
+    for newline in ("\n", "\r\n"):
+        errors: list[Exception] = []
+        sentences = parse_dep_corpus(text.replace("\n", newline), on_error=errors.append)
+        runs.append((sentences, [(type(e), str(e)) for e in errors]))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == 2 and len(runs[0][1]) == 1
+
+
+def test_dep_strict_raises_the_first_bad_line():
+    text = "1\ta\t0\n\n1\tb\t0\n2\tc\n3\td\n\n1\te\n"
+    with pytest.raises(MalformedLine) as info:
+        parse_dep_corpus(text)
+    assert info.value.line_no == 4
+
+
+# Surfaces hold no tab and no line break, and do not start with "#".
+DEP_SURFACES = st.text(min_size=1, max_size=6).filter(
+    lambda surface: "\t" not in surface
+    and surface.splitlines() == [surface]
+    and not surface.startswith("#")
+)
+
+
+@st.composite
+def dep_sentences(draw) -> DependencySentence:
+    n = draw(st.integers(1, 30))
+    root = draw(st.integers(1, n))
+    heads = []
+    for i in range(1, n + 1):
+        # Any head but the unit itself: draw from n - 1 values, skip over i.
+        head = 0 if i == root else draw(st.integers(1, n - 1))
+        heads.append(head + (head >= i))
+    surfaces = draw(st.lists(DEP_SURFACES, min_size=n, max_size=n))
+    return DependencySentence.from_heads(heads, surfaces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(dep_sentences(), min_size=1, max_size=4))
+def test_dep_round_trip(sentences):
+    assert parse_dep_corpus(treegen.dep_text(sentences)) == sentences
 
 
 def test_from_heads_builds_surfaces():

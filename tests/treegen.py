@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from memload.treebank import ConstituencyTree, DependencySentence
 
@@ -88,10 +88,13 @@ def random_ptb_text(seed: int, n_sentences: int) -> str:
 def random_dep_text(seed: int, n_sentences: int, max_len: int = 25) -> str:
     """A tab-separated dependency corpus, blank line between sentences."""
     rng = random.Random(seed)
-    blocks = []
-    for _ in range(n_sentences):
-        sentence = random_dep_sentence(rng, max_len)
-        blocks.append(
-            "\n".join(f"{u.index}\t{u.surface}\t{u.head}" for u in sentence.units)
-        )
+    return dep_text(random_dep_sentence(rng, max_len) for _ in range(n_sentences))
+
+
+def dep_text(sentences: Iterable[DependencySentence]) -> str:
+    """Write sentences as the dep reader reads them, a blank line between."""
+    blocks = (
+        "\n".join(f"{u.index}\t{u.surface}\t{u.head}" for u in sentence.units)
+        for sentence in sentences
+    )
     return "\n\n".join(blocks) + "\n"
