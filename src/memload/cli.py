@@ -201,7 +201,8 @@ def _collect_profiles(
 def run(config: RunConfig) -> int:
     """Execute one analysis: report on stdout, diagnostics on stderr."""
     try:
-        text = Path(config.input_path).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, which is not input text.
+        text = Path(config.input_path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"memload: cannot read input: {exc}", file=sys.stderr)
         return 1
@@ -233,7 +234,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"memload: {exc}", file=sys.stderr)
         return 2
     return run(config)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -89,33 +89,20 @@ def coordination_adjusted_numbers(
         raise ValueError("a node has at least one child")
     if not any(label in COORDINATOR_LABELS for label in labels[1:]):
         return branch_numbers(len(labels), scheme)
-    group_of, n_groups = _conjunct_groups(labels)
-    if scheme is NumberingScheme.YNGVE:
-        return [n_groups - 1 - group for group in group_of]
-    return [min(n_groups - 1 - group, 1) for group in group_of]
-
-
-def _conjunct_groups(labels: list[str]) -> tuple[list[int], int]:
-    """Assign each child a 0-based conjunct-group index, left to right."""
-    group_of = [0] * len(labels)
-    pending: list[int] = []
-    next_group = 0
-    for i, label in enumerate(labels):
+    numbers = []
+    groups_right = 0  # real children to the right so far, one per group
+    for label in reversed(labels):
         if label in _GROUP_GLUE:
-            pending.append(i)
+            # Glue belongs to the group of the real child after it, which
+            # groups_right already counts; trailing glue to the last group.
+            numbers.append(groups_right - 1 if groups_right else 0)
         else:
-            for j in pending:
-                group_of[j] = next_group
-            group_of[i] = next_group
-            pending.clear()
-            next_group += 1
-    if pending:
-        # Only glue children at the tail (or a node of nothing but glue):
-        # they ride with the last real group.
-        next_group = max(next_group, 1)
-        for j in pending:
-            group_of[j] = next_group - 1
-    return group_of, next_group
+            numbers.append(groups_right)
+            groups_right += 1
+    numbers.reverse()
+    if scheme is NumberingScheme.SAMPSON:
+        return [min(number, 1) for number in numbers]
+    return numbers
 
 
 def _child_numbers(node: ConstituencyTree, config: MetricConfig) -> list[int]:

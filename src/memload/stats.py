@@ -17,7 +17,6 @@ __all__ = [
     "ThresholdReport",
     "unit_histogram",
     "sentence_histogram",
-    "merge_histograms",
     "threshold_report",
     "render",
 ]
@@ -50,11 +49,7 @@ class Histogram:
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> Histogram:
-        return _from_counts(Counter(values))
-
-
-def _from_counts(counts: Counter[int]) -> Histogram:
-    return Histogram(dict(sorted(counts.items())))
+        return cls(dict(sorted(Counter(values).items())))
 
 
 def unit_histogram(profiles: Iterable[DepthProfile]) -> Histogram:
@@ -65,14 +60,6 @@ def unit_histogram(profiles: Iterable[DepthProfile]) -> Histogram:
 def sentence_histogram(profiles: Iterable[DepthProfile]) -> Histogram:
     """Frequencies over each profile's maximum; empty profiles count at 0."""
     return Histogram.from_values(profile.sentence_max for profile in profiles)
-
-
-def merge_histograms(histograms: Iterable[Histogram]) -> Histogram:
-    """Combine per-shard tallies; order never affects the result."""
-    counts: Counter[int] = Counter()
-    for histogram in histograms:
-        counts.update(histogram.bins)
-    return _from_counts(counts)
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,17 @@ def test_non_utf8_input_exits_one(tmp_path, capsys):
     assert err.startswith("memload: cannot read input: ")
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("method", ["dep-load", "yngve-word"])
+def test_byte_order_mark_is_ignored(tmp_path, capsys, method, strict):
+    fixture = {"dep": DEP_FIXTURE, "ptb": PTB_FIXTURE}[METHODS[method].format]
+    corpus = tmp_path / ("bom" + Path(fixture).suffix)
+    corpus.write_bytes(b"\xef\xbb\xbf" + Path(fixture).read_bytes())
+    argv = ["--format", METHODS[method].format, "--method", method] + ["--strict"] * strict
+    with_bom = run_cli(capsys, "--input", str(corpus), *argv)
+    assert with_bom == run_cli(capsys, "--input", fixture, *argv)
+
+
 def test_bad_sentences_skipped_and_counted(tmp_path, capsys):
     corpus = tmp_path / "mixed.ptb"
     corpus.write_text("(S (N a))\n(X)\n(S (N b) (V c))\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,9 @@ from memload.treebank import parse_ptb_corpus
 
 YNGVE = NumberingScheme.YNGVE
 SAMPSON = NumberingScheme.SAMPSON
+
+# Children that join the conjunct group after them, as the docstring says.
+GLUE = COORDINATOR_LABELS | {","}
 
 EXAMPLE = "(S (NP (DT The) (N boy)) (VP (V has) (NP (DT a) (J small) (N doll))))"
 
@@ -91,6 +95,40 @@ def test_conjp_triggers_coordination():
 
 def test_trailing_coordinator_joins_last_group():
     assert coordination_adjusted_numbers(["NP", "CC", "NP", "CC"], YNGVE) == [1, 0, 0, 0]
+
+
+def conjunct_rule(labels, scheme):
+    """The docstring's rule stated directly: form the groups, then count.
+
+    Each group runs up to and including a real child; glue after the last
+    real child joins the last group.
+    """
+    if not any(label in COORDINATOR_LABELS for label in labels[1:]):
+        return branch_numbers(len(labels), scheme)
+    groups = [[]]
+    for label in labels:
+        groups[-1].append(label)
+        if label not in GLUE:
+            groups.append([])
+    trailing = groups.pop()
+    if groups:
+        groups[-1] += trailing
+    else:
+        groups = [trailing]
+    numbers = []
+    for k, group in enumerate(groups):
+        right = len(groups) - 1 - k
+        numbers += [min(right, 1) if scheme is SAMPSON else right] * len(group)
+    return numbers
+
+
+def test_coordination_matches_the_rule_exhaustively():
+    alphabet = ["NP", "", "CC", "CONJP", ","]
+    for length in range(1, 8):
+        for labels in itertools.product(alphabet, repeat=length):
+            for scheme in (YNGVE, SAMPSON):
+                expected = conjunct_rule(labels, scheme)
+                assert coordination_adjusted_numbers(labels, scheme) == expected, labels
 
 
 def test_adjustment_never_raises_a_number():

@@ -12,7 +12,6 @@ from memload.stats import (
     Histogram,
     ThresholdReport,
     UnsupportedFormat,
-    merge_histograms,
     render,
     sentence_histogram,
     threshold_report,
@@ -72,19 +71,6 @@ def test_totals_count_units_and_sentences():
     ]
     assert unit_histogram(profiles).total == sum(len(p) for p in profiles)
     assert sentence_histogram(profiles).total == 100
-
-
-def test_merge_is_order_independent_and_matches_whole():
-    rng = random.Random(6)
-    profiles = [
-        DepthProfile(tuple(rng.randrange(8) for _ in range(rng.randint(1, 15))))
-        for _ in range(60)
-    ]
-    whole = unit_histogram(profiles)
-    shards = [unit_histogram(profiles[i::4]) for i in range(4)]
-    assert merge_histograms(shards) == whole
-    rng.shuffle(shards)
-    assert merge_histograms(shards) == whole
 
 
 def test_histogram_rejects_bad_bins():
