@@ -10,8 +10,8 @@ or a sentence error under --strict, 2 invalid option combination.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -48,14 +48,15 @@ METHODS = {
 # In the order --help has always listed them: ptb first.
 FORMATS = tuple(dict.fromkeys(m.format for m in reversed(METHODS.values())))
 OUTPUT_FORMATS = ("text", "csv", "json")
+# A byte-order mark after any line break that str.splitlines knows.
+_LINE_START_BOM = re.compile("(?<=[\n\r\v\f\x1c-\x1e\x85\u2028\u2029])\ufeff")
 
 
 class InvalidConfig(ValueError):
     """Mutually incompatible command-line options."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """One fully validated analysis request."""
 
     input_path: Path
@@ -157,8 +158,6 @@ def _parse_thresholds(text: str) -> tuple[int, ...]:
         raise InvalidConfig(
             f"--thresholds wants comma-separated integers, got {text!r}"
         ) from None
-    if not thresholds:
-        raise InvalidConfig("--thresholds wants at least one value")
     return thresholds
 
 
@@ -201,8 +200,11 @@ def _collect_profiles(
 def run(config: RunConfig) -> int:
     """Execute one analysis: report on stdout, diagnostics on stderr."""
     try:
-        # utf-8-sig drops a leading byte-order mark, which is not input text.
+        # utf-8-sig drops a leading byte-order mark, which is not input text;
+        # one that begins a later line, as concatenated files leave, goes too.
         text = Path(config.input_path).read_text(encoding="utf-8-sig")
+        if "\ufeff" in text:
+            text = _LINE_START_BOM.sub("", text)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"memload: cannot read input: {exc}", file=sys.stderr)
         return 1

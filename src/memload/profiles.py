@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .treebank import _Record
 
 __all__ = ["DepthProfile"]
 
 
-@dataclass(frozen=True)
-class DepthProfile:
+class DepthProfile(_Record):
     """Load values for one sentence, one per measured unit, in reading order."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.values):
+    def __init__(self, values: tuple[int, ...]) -> None:
+        if any(v < 0 for v in values):
             raise ValueError("load values cannot be negative")
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -13,9 +13,9 @@ both unadjusted schemes are provided as independent cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 from .profiles import DepthProfile
 from .treebank import ConstituencyTree
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 COORDINATOR_LABELS = frozenset({"CC", "CONJP"})
+_label = attrgetter("label")
 
 # Children that attach to the conjunct group after them: the coordinators
 # themselves and the commas that separate conjuncts.
@@ -44,8 +45,7 @@ class NumberingScheme(Enum):
     SAMPSON = "sampson"
 
 
-@dataclass(frozen=True)
-class MetricConfig:
+class MetricConfig(NamedTuple):
     """How to number branches, and which NP nodes np_depths measures.
 
     The unit is chosen by the function called: word_depths measures every
@@ -85,41 +85,30 @@ def coordination_adjusted_numbers(
     label) and ordinary phrases are unaffected.
     """
     labels = list(child_labels)
-    if not labels:
-        raise ValueError("a node has at least one child")
     if not any(label in COORDINATOR_LABELS for label in labels[1:]):
         return branch_numbers(len(labels), scheme)
+    cap = 1 if scheme is NumberingScheme.SAMPSON else len(labels)
     numbers = []
     groups_right = 0  # real children to the right so far, one per group
     for label in reversed(labels):
         if label in _GROUP_GLUE:
             # Glue belongs to the group of the real child after it, which
             # groups_right already counts; trailing glue to the last group.
-            numbers.append(groups_right - 1 if groups_right else 0)
+            numbers.append(min(groups_right - 1 if groups_right else 0, cap))
         else:
-            numbers.append(groups_right)
+            numbers.append(min(groups_right, cap))
             groups_right += 1
-    numbers.reverse()
-    if scheme is NumberingScheme.SAMPSON:
-        return [min(number, 1) for number in numbers]
-    return numbers
+    return numbers[::-1]
 
 
-def _child_numbers(node: ConstituencyTree, config: MetricConfig) -> list[int]:
-    if config.coordination_adjust:
-        labels = [child.label for child in node.children]
-        return coordination_adjusted_numbers(labels, config.scheme)
-    return branch_numbers(len(node.children), config.scheme)
-
-
-def _walk_depths(
-    tree: ConstituencyTree, config: MetricConfig, measure_nps: bool
-) -> DepthProfile:
+def _walk_depths(tree: ConstituencyTree, config: MetricConfig, measure_nps: bool) -> DepthProfile:
     """Path-sum depths of the measured units, in preorder.
 
     Walks an explicit stack of (node, depth, inside an NP), so tree height
     is not bounded by the recursion limit.
     """
+    yngve = config.scheme is NumberingScheme.YNGVE
+    adjust = config.coordination_adjust
     values: list[int] = []
     stack = [(tree, 0, False)]
     while stack:
@@ -134,9 +123,17 @@ def _walk_depths(
             values.append(depth)
         inside_np = inside_np or is_np
         # Pushed right to left, so the leftmost child is visited next.
-        numbers = _child_numbers(node, config)
-        for child, number in zip(reversed(children), reversed(numbers)):
-            stack.append((child, depth + number, inside_np))
+        if adjust and not COORDINATOR_LABELS.isdisjoint(map(_label, children[1:])):
+            numbers = coordination_adjusted_numbers(list(map(_label, children)), config.scheme)
+            for child, number in zip(reversed(children), reversed(numbers)):
+                stack.append((child, depth + number, inside_np))
+            continue
+        # Uncoordinated: the last child gets 0; each one left of it one more
+        # under yngve, 1 under sampson.
+        child_depth = depth
+        for child in reversed(children):
+            stack.append((child, child_depth, inside_np))
+            child_depth = child_depth + 1 if yngve else depth + 1
     return DepthProfile(tuple(values))
 
 

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .profiles import DepthProfile
+from .treebank import _Record
 
 __all__ = [
     "DEFAULT_THRESHOLDS",
@@ -22,22 +22,23 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLDS = (5, 7, 9)
+_THRESHOLD_KEYS = "threshold units_over units_fraction sentences_over sentences_fraction".split()
 
 
 class UnsupportedFormat(ValueError):
     """Requested report format is not one of text, csv, or json."""
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(_Record):
     """Frequency of each load value; zero-count bins are not stored."""
 
-    bins: Mapping[int, int]
+    __slots__ = ("bins",)
 
-    def __post_init__(self) -> None:
-        for value, count in self.bins.items():
+    def __init__(self, bins: Mapping[int, int]) -> None:
+        for value, count in bins.items():
             if value < 0 or count < 1:
                 raise ValueError(f"invalid histogram bin {value}: {count}")
+        object.__setattr__(self, "bins", bins)
 
     @property
     def total(self) -> int:
@@ -62,8 +63,7 @@ def sentence_histogram(profiles: Iterable[DepthProfile]) -> Histogram:
     return Histogram.from_values(profile.sentence_max for profile in profiles)
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """How much of a histogram lies strictly above each threshold."""
 
     thresholds: tuple[int, ...]
@@ -108,13 +108,8 @@ def render(
         raise UnsupportedFormat(f"unknown output format {fmt!r}")
     units = threshold_report(unit_hist, thresholds or ())
     sentences = threshold_report(sentence_hist, thresholds or ())
-    exceeded = zip(
-        units.thresholds,
-        units.exceed_counts,
-        units.exceed_fractions,
-        sentences.exceed_counts,
-        sentences.exceed_fractions,
-    )
+    # Rows of threshold, unit count and fraction, sentence count and fraction.
+    exceeded = zip(*units, *sentences[1:])
     if fmt == "json":
         payload = {
             "method": method,
@@ -127,16 +122,7 @@ def render(
             "total_units": unit_hist.total,
             "total_sentences": sentence_hist.total,
             "max_value": max(unit_hist.max_value, sentence_hist.max_value),
-            "thresholds": [
-                {
-                    "threshold": t,
-                    "units_over": uc,
-                    "units_fraction": uf,
-                    "sentences_over": sc,
-                    "sentences_fraction": sf,
-                }
-                for t, uc, uf, sc, sf in exceeded
-            ],
+            "thresholds": [dict(zip(_THRESHOLD_KEYS, row)) for row in exceeded],
         }
         return json.dumps(payload, indent=2) + "\n"
     top = max(chain(unit_hist.bins, sentence_hist.bins), default=-1)

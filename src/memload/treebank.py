@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
+from operator import is_
 from typing import Callable, Iterator, Sequence
 
 __all__ = [
@@ -102,26 +102,55 @@ class HeadOutOfRange(DepFormatError):
     """A head index falls outside 0..n."""
 
 
-@dataclass(frozen=True)
-class ConstituencyTree:
+class _Record:
+    """Immutable slotted record with a frozen dataclass's ==, hash() and repr()."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
+
+
+class ConstituencyTree(_Record):
     """Ordered labeled tree.
 
     Internal nodes carry a category label and at least one child; leaves
     carry a surface form and nothing else.
     """
 
-    label: str = ""
-    children: tuple[ConstituencyTree, ...] = ()
-    surface: str = ""
+    __slots__ = ("label", "children", "surface")
 
-    def __post_init__(self) -> None:
-        if self.children:
-            if not self.label:
+    def __init__(self, label: str = "", children: tuple = (), surface: str = "") -> None:
+        if children:
+            if not label:
                 raise ValueError("internal node requires a label")
-            if self.surface:
+            if surface:
                 raise ValueError("internal node cannot carry a surface form")
-        elif not self.surface:
+        elif not surface:
             raise ValueError("leaf requires a surface form")
+        _set_label(self, label)
+        _set_children(self, children)
+        _set_surface(self, surface)
 
     @classmethod
     def phrase(cls, label: str, children: Sequence[ConstituencyTree]) -> ConstituencyTree:
@@ -145,21 +174,27 @@ class ConstituencyTree:
                 yield node
 
     def to_bracketed(self) -> str:
+        return self._write(
+            lambda node: f"({node.label} " if node.children else node.surface,
+            " ",
+            lambda node: ")" if node.children else "",
+        )
+
+    def _write(self, head: Callable, sep: str, tail: Callable) -> str:
+        """head(node), its children written and joined by sep, tail(node)."""
         parts = []
-        # Trees still to write, and the separators and closing brackets
-        # between them, last first.
+        # Trees still to write, and the separators and tails between them,
+        # last first: a loop, so tree height is not bounded by recursion.
         stack: list[ConstituencyTree | str] = [self]
         while stack:
             item = stack.pop()
             if isinstance(item, str):
                 parts.append(item)
-            elif item.children:
-                parts.append(f"({item.label}")
-                stack.append(")")
-                for child in reversed(item.children):
-                    stack += (child, " ")
-            else:
-                parts.append(item.surface)
+                continue
+            parts.append(head(item))
+            stack.append(tail(item))
+            for k, child in enumerate(reversed(item.children)):
+                stack += (sep, child) if k else (child,)
         return "".join(parts)
 
     # ==, hash() and repr() give what the dataclass would generate, but walk
@@ -195,22 +230,11 @@ class ConstituencyTree:
         return hashes[id(self)].value
 
     def __repr__(self) -> str:
-        parts = []
-        stack: list[ConstituencyTree | str] = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                parts.append(item)
-                continue
-            children = item.children
-            parts.append(f"{item.__class__.__qualname__}(label={item.label!r}, children=(")
-            comma = "," if len(children) == 1 else ""
-            stack.append(f"{comma}), surface={item.surface!r})")
-            for k in range(len(children) - 1, -1, -1):
-                stack.append(children[k])
-                if k:
-                    stack.append(", ")
-        return "".join(parts)
+        return self._write(
+            lambda node: f"{node.__class__.__qualname__}(label={node.label!r}, children=(",
+            ", ",
+            lambda node: f"{',' if len(node.children) == 1 else ''}), surface={node.surface!r})",
+        )
 
 
 class _Hashed:
@@ -223,6 +247,20 @@ class _Hashed:
 
     def __hash__(self) -> int:
         return self.value
+
+
+_set_label = ConstituencyTree.label.__set__
+_set_children = ConstituencyTree.children.__set__
+_set_surface = ConstituencyTree.surface.__set__
+
+
+def _node(label: str, children: tuple, surface: str = "") -> ConstituencyTree:
+    """A node built unchecked; the parser and normalize_tree guarantee its invariants."""
+    node = object.__new__(ConstituencyTree)
+    _set_label(node, label)
+    _set_children(node, children)
+    _set_surface(node, surface)
+    return node
 
 
 _TOKEN_RE = re.compile(r"[()]|[^()\s]+")
@@ -252,9 +290,7 @@ def parse_ptb_corpus(
     def report(kind: type[PtbParseError], message: str, offset: int) -> None:
         if not line_starts:
             # Number lines exactly as str.splitlines does.
-            line_starts.append(0)
-            for line in text.splitlines(keepends=True):
-                line_starts.append(line_starts[-1] + len(line))
+            line_starts.extend(accumulate(map(len, text.splitlines(keepends=True)), initial=0))
         line = bisect_right(line_starts, offset)
         exc = kind(message, line, offset - line_starts[line - 1] + 1)
         if on_error is None:
@@ -276,14 +312,13 @@ def parse_ptb_corpus(
             if token == ")":
                 report(UnbalancedBrackets, "unmatched ')'", offset)
             else:
-                message = f"surface token {token!r} outside any tree"
-                report(LeafWithoutLabel, message, offset)
+                report(LeafWithoutLabel, f"surface token {token!r} outside any tree", offset)
         elif token != ")":
             node = stack[-1]
             if node[0] is None:
                 node[0] = token
             elif node[0]:
-                node[1].append(ConstituencyTree.word(token))
+                node[1].append(_node("", (), token))
             else:
                 message = f"surface token {token!r} directly under an unlabeled wrapper"
                 errors.append((LeafWithoutLabel, message, offset))
@@ -295,7 +330,7 @@ def parse_ptb_corpus(
                 errors.append((EmptyTree, f"node {label!r} has no children", start))
             elif label:
                 parent = stack[-1][1] if stack else trees
-                parent.append(ConstituencyTree.phrase(label, children))
+                parent.append(_node(label, tuple(children)))
             else:
                 trees.extend(children)
             if errors and not stack:
@@ -320,91 +355,101 @@ def normalize_label(label: str) -> str:
     return label.split("-", 1)[0].split("=", 1)[0] or label
 
 
-def normalize_tree(
-    tree: ConstituencyTree, *, strip_punctuation: bool = True
-) -> ConstituencyTree:
+def normalize_tree(tree: ConstituencyTree, *, strip_punctuation: bool = True) -> ConstituencyTree:
     """Return a cleaned copy of the tree.
 
     Labels lose their function tags, trace leaves (under -NONE-) are
     dropped, and so are punctuation leaves (those under ".", ",", ":",
     quotes, brackets, "#") unless strip_punctuation is off.  Internal nodes
     left with no children are removed all the way up.  Raises
-    EmptyAfterNormalization when nothing remains.  The pass is idempotent.
+    EmptyAfterNormalization when nothing remains.  A subtree that nothing
+    changes is shared with the input, so the pass is idempotent and returns
+    an already clean tree itself.
     """
     dropped = PUNCTUATION_LABELS if strip_punctuation else frozenset()
     kept_root: list[ConstituencyTree] = []
-    # Open nodes as (label, drop leaves?, kept children, iterator over
-    # children), under a wrapper that keeps the cleaned tree itself.
-    stack = [("", False, kept_root, iter((tree,)))]
+    # Open nodes as (node, cleaned label, drop leaves?, kept children,
+    # iterator over children), under a wrapper that keeps the cleaned tree.
+    stack = [(tree, "", False, kept_root, iter((tree,)))]
     while stack:
-        label, drop_leaves, kept, children = stack[-1]
+        node, label, drop_leaves, kept, children = stack[-1]
         for child in children:
             if child.children:
                 child_label = normalize_label(child.label)
                 drop = child_label == TRACE_LABEL or child_label in dropped
-                stack.append((child_label, drop, [], iter(child.children)))
+                stack.append((child, child_label, drop, [], iter(child.children)))
                 break
             if not drop_leaves:
                 kept.append(child)
         else:
             stack.pop()
             if kept and stack:
-                stack[-1][2].append(ConstituencyTree.phrase(label, kept))
+                same = label == node.label and len(kept) == len(node.children)
+                if not (same and all(map(is_, kept, node.children))):
+                    node = _node(label, tuple(kept))
+                stack[-1][3].append(node)
     if not kept_root:
-        raise EmptyAfterNormalization(
-            "no pronounced material left after normalization"
-        )
+        raise EmptyAfterNormalization("no pronounced material left after normalization")
     return kept_root[0]
 
 
-@dataclass(frozen=True, slots=True)
-class DependencyUnit:
+class DependencyUnit(_Record):
     """One unit of a dependency sentence: 1-based index, surface form, head.
 
     head is the index of the unit this one depends on, 0 for the root.
     """
 
-    index: int
-    surface: str
-    head: int
+    __slots__ = ("index", "surface", "head")
+
+    def __init__(self, index: int, surface: str, head: int) -> None:
+        _set_index(self, index)
+        _set_unit_surface(self, surface)
+        _set_head(self, head)
 
 
-@dataclass(frozen=True)
-class DependencySentence:
+_set_index = DependencyUnit.index.__set__
+_set_unit_surface = DependencyUnit.surface.__set__
+_set_head = DependencyUnit.head.__set__
+
+
+class DependencySentence(_Record):
     """A validated dependency sentence.
 
     Indices run exactly 1..n in order, heads stay within 0..n, no unit heads
     itself, and exactly one unit is the root (head 0).
     """
 
-    units: tuple[DependencyUnit, ...]
+    __slots__ = ("units",)
 
-    def __post_init__(self) -> None:
-        n = len(self.units)
-        indices = [unit.index for unit in self.units]
-        if indices != list(range(1, n + 1)):
-            raise NonContiguousIndices(
-                f"unit indices must be exactly 1..{n} in order, got {indices}"
-            )
-        for unit in self.units:
-            if not 0 <= unit.head <= n:
-                raise HeadOutOfRange(
-                    f"unit {unit.index} has head {unit.head}, outside 0..{n}"
+    def __init__(self, units: tuple[DependencyUnit, ...]) -> None:
+        # One pass; a bad index outranks a bad head, which outranks the roots.
+        n = len(units)
+        roots, bad = [], None
+        for position, unit in enumerate(units, start=1):
+            if unit.index != position:
+                raise NonContiguousIndices(
+                    f"unit indices must be exactly 1..{n} in order, got {[u.index for u in units]}"
                 )
-            if unit.head == unit.index:
-                raise SelfHead(f"unit {unit.index} depends on itself")
-        roots = [unit.index for unit in self.units if unit.head == 0]
+            if unit.head == 0:
+                roots.append(position)
+            elif bad is None and (unit.head == position or not 0 < unit.head <= n):
+                bad = unit
+        if bad is not None and bad.head == bad.index:
+            raise SelfHead(f"unit {bad.index} depends on itself")
+        if bad is not None:
+            raise HeadOutOfRange(f"unit {bad.index} has head {bad.head}, outside 0..{n}")
         if len(roots) > 1:
             raise MultipleRoots(f"units {roots} all have head 0")
         if not roots:
             raise MissingRoot("no unit has head 0")
+        object.__setattr__(self, "units", units)
 
     def __len__(self) -> int:
         return len(self.units)
 
     @property
     def heads(self) -> tuple[int, ...]:
-        return tuple(unit.head for unit in self.units)
+        return tuple([unit.head for unit in self.units])
 
     @classmethod
     def from_heads(
@@ -462,8 +507,7 @@ def _parse_line(raw: str, line_no: int) -> DependencyUnit:
     fields = raw.split("\t")
     if len(fields) != 3:
         raise MalformedLine(
-            f"expected INDEX<TAB>SURFACE<TAB>HEAD, got {len(fields)} field(s)",
-            line_no,
+            f"expected INDEX<TAB>SURFACE<TAB>HEAD, got {len(fields)} field(s)", line_no
         )
     index_text, surface, head_text = fields
     try:

@@ -190,6 +190,35 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys, method, strict):
     assert with_bom == run_cli(capsys, "--input", fixture, *argv)
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("method", ["dep-load", "yngve-word"])
+def test_byte_order_mark_of_a_concatenated_file_is_ignored(tmp_path, capsys, method, strict):
+    # `cat a b` of two BOM-carrying files: the second mark begins a line.
+    fixture = {"dep": DEP_FIXTURE, "ptb": PTB_FIXTURE}[METHODS[method].format]
+    part = Path(fixture).read_bytes().rstrip(b"\n") + b"\n\n"
+    joined, plain = tmp_path / "joined", tmp_path / "plain"
+    joined.write_bytes(b"\xef\xbb\xbf" + part + b"\xef\xbb\xbf" + part)
+    plain.write_bytes(part + part)
+    argv = ["--format", METHODS[method].format, "--method", method,
+            "--output", "json"] + ["--strict"] * strict
+    code, out, err = run_cli(capsys, "--input", str(joined), *argv)
+    assert (code, out, err) == run_cli(capsys, "--input", str(plain), *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["total_sentences"] == 2
+
+
+def test_byte_order_mark_inside_a_line_stays_text(tmp_path, capsys):
+    corpus = tmp_path / "inner.ptb"
+    corpus.write_text("(S \ufeff(N a))\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "--input", str(corpus), "--format", "ptb", "--method", "yngve-word",
+        "--output", "json",
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["total_units"] == 2
+
+
 def test_bad_sentences_skipped_and_counted(tmp_path, capsys):
     corpus = tmp_path / "mixed.ptb"
     corpus.write_text("(S (N a))\n(X)\n(S (N b) (V c))\n", encoding="utf-8")

@@ -2,7 +2,26 @@
 
 from __future__ import annotations
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import memload
+from memload import (
+    ConstituencyTree,
+    DependencySentence,
+    DependencyUnit,
+    DepthProfile,
+    Histogram,
+    MetricConfig,
+    NumberingScheme,
+)
+from memload.cli import RunConfig
 
 PUBLIC_NAMES = {
     "__version__",
@@ -58,3 +77,53 @@ def test_public_names_are_pinned():
     assert len(memload.__all__) == len(PUBLIC_NAMES)
     for name in memload.__all__:
         getattr(memload, name)
+
+
+RECORDS = [
+    (ConstituencyTree.word("w"), "surface"),
+    (ConstituencyTree.phrase("S", [ConstituencyTree.word("w")]), "children"),
+    (DependencyUnit(1, "w", 0), "head"),
+    (DependencySentence.from_heads([0]), "units"),
+    (DepthProfile((1, 0)), "values"),
+    (Histogram({0: 1}), "bins"),
+    (MetricConfig(NumberingScheme.YNGVE), "scheme"),
+    (RunConfig(Path("corpus.dep"), "dep-load"), "method"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, field", RECORDS, ids=[type(record).__name__ for record, _ in RECORDS]
+)
+def test_records_are_immutable(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, before)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is before
+
+
+@pytest.mark.parametrize(
+    "record", [record for record, _ in RECORDS], ids=[type(r).__name__ for r, _ in RECORDS]
+)
+def test_records_survive_pickle_and_copy(record):
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is type(record) and clone == record
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # A fresh interpreter, so nothing imported by this test run counts.
+    package_root = str(Path(memload.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import memload.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        check=True,
+    )
+    assert result.stdout == "[]\n"

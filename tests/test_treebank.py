@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ import treegen
 from memload.treebank import (
     ConstituencyTree,
     DependencySentence,
+    DependencyUnit,
     EmptyAfterNormalization,
     EmptyTree,
     HeadOutOfRange,
@@ -412,6 +414,27 @@ def test_head_out_of_range():
         parse_dep_corpus("1\ta\t-1\n2\tb\t0\n")
 
 
+@pytest.mark.parametrize(
+    "heads_and_indices, error, message",
+    [
+        # A bad index outranks every head check, and names all the indices.
+        ([(1, 5), (3, 1), (2, 0)], NonContiguousIndices, "got [1, 3, 2]"),
+        # Among bad heads, the first unit's own check wins: range, then self.
+        ([(1, 9), (2, 2), (3, 0)], HeadOutOfRange, "unit 1 has head 9, outside 0..3"),
+        ([(1, 1), (2, 9), (3, 0)], SelfHead, "unit 1 depends on itself"),
+        # A bad head outranks the root count.
+        ([(1, 0), (2, 0), (3, 3)], SelfHead, "unit 3 depends on itself"),
+        ([(1, 2), (2, 1), (3, -1)], HeadOutOfRange, "unit 3 has head -1, outside 0..3"),
+        ([(1, 0), (2, 1), (3, 0)], MultipleRoots, "units [1, 3] all have head 0"),
+    ],
+)
+def test_dep_validation_precedence(heads_and_indices, error, message):
+    units = tuple(DependencyUnit(index, f"w{index}", head) for index, head in heads_and_indices)
+    with pytest.raises(error) as info:
+        DependencySentence(units)
+    assert message in str(info.value)
+
+
 def test_dep_on_error_skips_bad_blocks():
     text = "1\ta\t0\n\n1\tb\t1\n\n1\tc\t0\n"
     errors: list[Exception] = []
@@ -573,6 +596,51 @@ def test_normalize_is_idempotent_on_random_trees():
             continue
         assert normalize_tree(once) == once
         assert sum(1 for _ in once.leaves()) <= sum(1 for _ in tree.leaves())
+
+
+def test_normalize_returns_a_clean_tree_itself():
+    [tree] = parse_ptb_corpus(EXAMPLE)
+    assert normalize_tree(tree) is tree
+    assert normalize_tree(tree, strip_punctuation=False) is tree
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(S (NP (-NONE- *T*-1)) (VP (V go) (NP (N it))))",
+        "(S (NP-SBJ (N w)) (VP (V go) (NP (N it))))",
+        "(S (, ,) (NP (N w)) (VP (V go) (NP (N it))))",
+    ],
+    ids=["trace", "relabel", "punctuation"],
+)
+def test_normalize_shares_untouched_siblings(text):
+    [tree] = parse_ptb_corpus(text)
+    cleaned = normalize_tree(tree)
+    assert cleaned is not tree
+    assert cleaned.children[-1] is tree.children[-1]
+
+
+def test_normalize_rebuilds_a_relabelled_node_around_shared_children():
+    [tree] = parse_ptb_corpus("(S (NP-SBJ (DT the) (N w)) (VP (V go)))")
+    np = normalize_tree(tree).children[0]
+    assert np.label == "NP" and np is not tree.children[0]
+    assert all(map(operator.is_, np.children, tree.children[0].children))
+
+
+def test_normalize_twice_returns_the_once_normalized_tree():
+    rng = random.Random(13)
+    for _ in range(300):
+        tree = treegen.random_tree(
+            rng, max_depth=6, max_branching=4, labels=treegen.MESSY_LABELS
+        )
+        for strip in (True, False):
+            try:
+                once = normalize_tree(tree, strip_punctuation=strip)
+            except EmptyAfterNormalization:
+                continue
+            twice = normalize_tree(once, strip_punctuation=strip)
+            assert twice is once
+            assert twice == once
 
 
 def test_normalized_trees_have_no_empty_internal_nodes():
