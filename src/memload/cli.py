@@ -153,12 +153,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _parse_thresholds(text: str) -> tuple[int, ...]:
     try:
-        thresholds = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise InvalidConfig(
-            f"--thresholds wants comma-separated integers, got {text!r}"
-        ) from None
-    return thresholds
+        raise InvalidConfig(f"--thresholds wants comma-separated integers, got {text!r}") from None
 
 
 def _collect_profiles(

@@ -67,10 +67,6 @@ def load_profile_oracle(sentence: DependencySentence) -> DepthProfile:
 
 def ensure_rightward(sentence: DependencySentence) -> None:
     """Raise LeftwardHead unless every non-root head points rightward."""
-    offenders = [
-        unit.index
-        for unit in sentence.units
-        if unit.head != 0 and unit.head < unit.index
-    ]
+    offenders = [index for index, head in enumerate(sentence.heads, start=1) if 0 < head < index]
     if offenders:
         raise LeftwardHead(f"units {offenders} have heads to their left")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import accumulate, chain
-from operator import is_
+from itertools import accumulate, chain, count, repeat
+from operator import eq, is_
 from typing import Callable, Iterator, Sequence
 
 __all__ = [
@@ -107,8 +107,11 @@ class _Record:
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:  # the fields are __match_args__, else __slots__
+        cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
+
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -124,7 +127,7 @@ class _Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
@@ -264,6 +267,8 @@ def _node(label: str, children: tuple, surface: str = "") -> ConstituencyTree:
 
 
 _TOKEN_RE = re.compile(r"[()]|[^()\s]+")
+# About 64K characters and the rest of the last token: a piece ends at whitespace.
+_PIECE_RE = re.compile(r"[\s\S]{1,65536}\S*")
 
 
 def parse_ptb_corpus(
@@ -277,7 +282,7 @@ def parse_ptb_corpus(
     callback each error is reported to it and the sentence skipped.
     """
     trees: list[ConstituencyTree] = []
-    # Open nodes, outermost first, as [label, children, offset of "("].  The
+    # Open nodes, outermost first, as [label, children, index of "("].  The
     # label is None until its token arrives and "" for an unlabeled wrapper,
     # whose children are the trees it holds.
     stack: list[list] = []
@@ -286,19 +291,23 @@ def parse_ptb_corpus(
     # bad sentence cannot poison the rest of the file.
     errors: list[tuple[type[PtbParseError], str, int]] = []
     line_starts: list[int] = []
+    # Errors are reported in token order, so one pass finds all their offsets.
+    matches = enumerate(_TOKEN_RE.finditer(text))
 
-    def report(kind: type[PtbParseError], message: str, offset: int) -> None:
+    def report(kind: type[PtbParseError], message: str, index: int) -> None:
         if not line_starts:
             # Number lines exactly as str.splitlines does.
             line_starts.extend(accumulate(map(len, text.splitlines(keepends=True)), initial=0))
+        offset = next(match.start() for k, match in matches if k == index)
         line = bisect_right(line_starts, offset)
         exc = kind(message, line, offset - line_starts[line - 1] + 1)
         if on_error is None:
             raise exc
         on_error(exc)
 
-    for match in _TOKEN_RE.finditer(text):
-        token, offset = match.group(), match.start()
+    # _TOKEN_RE's matches (str.split and \s agree on whitespace), piece by piece.
+    pieces = (m.group().replace("(", " ( ").replace(")", " ) ") for m in _PIECE_RE.finditer(text))
+    for index, token in enumerate(chain.from_iterable(map(str.split, pieces))):
         if token == "(":
             if not stack:
                 group_start = len(trees)
@@ -307,12 +316,12 @@ def parse_ptb_corpus(
                     stack[0][0] = ""
                 else:
                     errors.append((PtbParseError, "node without a label", stack[-1][2]))
-            stack.append([None, [], offset])
+            stack.append([None, [], index])
         elif not stack:
             if token == ")":
-                report(UnbalancedBrackets, "unmatched ')'", offset)
+                report(UnbalancedBrackets, "unmatched ')'", index)
             else:
-                report(LeafWithoutLabel, f"surface token {token!r} outside any tree", offset)
+                report(LeafWithoutLabel, f"surface token {token!r} outside any tree", index)
         elif token != ")":
             node = stack[-1]
             if node[0] is None:
@@ -321,7 +330,7 @@ def parse_ptb_corpus(
                 node[1].append(_node("", (), token))
             else:
                 message = f"surface token {token!r} directly under an unlabeled wrapper"
-                errors.append((LeafWithoutLabel, message, offset))
+                errors.append((LeafWithoutLabel, message, index))
         else:
             label, children, start = stack.pop()
             if label is None:
@@ -352,7 +361,9 @@ def normalize_label(label: str) -> str:
     A label that would be cut to nothing ("-NONE-", "-LRB-", "=2") is kept
     verbatim.
     """
-    return label.split("-", 1)[0].split("=", 1)[0] or label
+    if "-" in label or "=" in label:
+        return label.split("-", 1)[0].split("=", 1)[0] or label
+    return label
 
 
 def normalize_tree(tree: ConstituencyTree, *, strip_punctuation: bool = True) -> ConstituencyTree:
@@ -402,54 +413,37 @@ class DependencyUnit(_Record):
     __slots__ = ("index", "surface", "head")
 
     def __init__(self, index: int, surface: str, head: int) -> None:
-        _set_index(self, index)
-        _set_unit_surface(self, surface)
-        _set_head(self, head)
-
-
-_set_index = DependencyUnit.index.__set__
-_set_unit_surface = DependencyUnit.surface.__set__
-_set_head = DependencyUnit.head.__set__
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "head", head)
 
 
 class DependencySentence(_Record):
-    """A validated dependency sentence.
+    """A validated dependency sentence, stored as its heads and surfaces.
 
     Indices run exactly 1..n in order, heads stay within 0..n, no unit heads
-    itself, and exactly one unit is the root (head 0).
+    itself, and exactly one unit is the root (head 0).  units is built from
+    the two columns when first read, and kept.
     """
 
-    __slots__ = ("units",)
+    __slots__ = ("heads", "surfaces", "_units")
+    __match_args__ = ("units",)
 
     def __init__(self, units: tuple[DependencyUnit, ...]) -> None:
-        # One pass; a bad index outranks a bad head, which outranks the roots.
-        n = len(units)
-        roots, bad = [], None
-        for position, unit in enumerate(units, start=1):
-            if unit.index != position:
-                raise NonContiguousIndices(
-                    f"unit indices must be exactly 1..{n} in order, got {[u.index for u in units]}"
-                )
-            if unit.head == 0:
-                roots.append(position)
-            elif bad is None and (unit.head == position or not 0 < unit.head <= n):
-                bad = unit
-        if bad is not None and bad.head == bad.index:
-            raise SelfHead(f"unit {bad.index} depends on itself")
-        if bad is not None:
-            raise HeadOutOfRange(f"unit {bad.index} has head {bad.head}, outside 0..{n}")
-        if len(roots) > 1:
-            raise MultipleRoots(f"units {roots} all have head 0")
-        if not roots:
-            raise MissingRoot("no unit has head 0")
-        object.__setattr__(self, "units", units)
+        heads = tuple([unit.head for unit in units])
+        _check_dep_sentence([unit.index for unit in units], heads)
+        _set_heads(self, heads)
+        _set_surfaces(self, tuple([unit.surface for unit in units]))
+        _set_units(self, units)
 
     def __len__(self) -> int:
-        return len(self.units)
+        return len(self.heads)
 
     @property
-    def heads(self) -> tuple[int, ...]:
-        return tuple([unit.head for unit in self.units])
+    def units(self) -> tuple[DependencyUnit, ...]:
+        if self._units is None:
+            _set_units(self, tuple(map(DependencyUnit, count(1), self.surfaces, self.heads)))
+        return self._units
 
     @classmethod
     def from_heads(
@@ -457,11 +451,39 @@ class DependencySentence(_Record):
     ) -> DependencySentence:
         if surfaces is None:
             surfaces = [f"w{i}" for i in range(1, len(heads) + 1)]
-        units = tuple(
-            DependencyUnit(i, surface, head)
-            for i, (surface, head) in enumerate(zip(surfaces, heads), start=1)
-        )
-        return cls(units)
+        return cls(tuple(map(DependencyUnit, count(1), surfaces, heads)))
+
+
+_set_heads = DependencySentence.heads.__set__
+_set_surfaces = DependencySentence.surfaces.__set__
+_set_units = DependencySentence._units.__set__
+
+
+def _dep_sentence(heads: tuple[int, ...], surfaces: tuple[str, ...]) -> DependencySentence:
+    """A sentence built unchecked; the reader has run _check_dep_sentence."""
+    sentence = object.__new__(DependencySentence)
+    _set_heads(sentence, heads)
+    _set_surfaces(sentence, surfaces)
+    _set_units(sentence, None)
+    return sentence
+
+
+def _check_dep_sentence(indices: list[int], heads: tuple[int, ...]) -> None:
+    """Raise the first of: bad indices, the first bad head, a root count other than one."""
+    n = len(heads)
+    positions = range(1, n + 1)
+    if indices != list(positions):
+        raise NonContiguousIndices(f"unit indices must be exactly 1..{n} in order, got {indices}")
+    if heads and (min(heads) < 0 or max(heads) > n or any(map(eq, heads, positions))):
+        index, head = next((i, h) for i, h in zip(positions, heads) if h == i or not 0 <= h <= n)
+        if head == index:
+            raise SelfHead(f"unit {index} depends on itself")
+        raise HeadOutOfRange(f"unit {index} has head {head}, outside 0..{n}")
+    if heads.count(0) != 1:
+        roots = [i for i, head in zip(positions, heads) if head == 0]
+        if roots:
+            raise MultipleRoots(f"units {roots} all have head 0")
+        raise MissingRoot("no unit has head 0")
 
 
 def parse_dep_corpus(
@@ -474,36 +496,46 @@ def parse_dep_corpus(
     to it and the sentence skipped.
     """
     sentences = []
-    units: list[DependencyUnit] = []
-    # The first malformed line of the open block; the block's later lines
-    # are not parsed, and the error is reported when the block closes.
-    error: MalformedLine | None = None
-    # A final blank line closes the last block at EOF.
-    for line_no, raw in enumerate(chain(text.splitlines(), [""]), start=1):
-        if raw.startswith("#"):
-            continue
-        if raw.strip():
-            if error is None:
-                try:
-                    units.append(_parse_line(raw, line_no))
-                except MalformedLine as exc:
-                    error = exc
-            continue
-        if units or error is not None:
+    lines = text.splitlines()
+    lines.append("")  # closes the last block at EOF
+    block: list[str] = []  # the open block's unit lines; the first is on line start
+    for line_no, raw in enumerate(lines, start=1):
+        if raw and not raw.isspace():
+            if raw[0] != "#":
+                if not block:
+                    start = line_no
+                block.append(raw)
+        elif block:
             try:
-                if error is not None:
-                    raise error
-                sentences.append(DependencySentence(tuple(units)))
+                sentences.append(_read_block(block, lines, start, line_no))
             except DepFormatError as exc:
                 if on_error is None:
                     raise
                 on_error(exc)
-            units = []
-            error = None
+            block = []
     return sentences
 
 
-def _parse_line(raw: str, line_no: int) -> DependencyUnit:
+def _read_block(block: list[str], lines: list[str], start: int, end: int) -> DependencySentence:
+    """Parse a block's unit lines in bulk; walk lines start to end - 1 only if one is malformed."""
+    fields = "\t".join(block).split("\t")
+    surfaces = tuple(fields[1::3])
+    try:
+        indices, heads = list(map(int, fields[0::3])), tuple(map(int, fields[2::3]))
+        # The fields fall in rows of three only if every line has two tabs.
+        well_formed = all(surfaces) and set(map(str.count, block, repeat("\t"))) == {2}
+    except ValueError:
+        well_formed = False
+    if not well_formed:
+        for line_no, raw in enumerate(lines[start - 1 : end - 1], start=start):
+            if raw[0] != "#":
+                _parse_line(raw, line_no)
+    _check_dep_sentence(indices, heads)
+    return _dep_sentence(heads, surfaces)
+
+
+def _parse_line(raw: str, line_no: int) -> None:
+    """Raise MalformedLine for a line's first fault: its fields, integers, surface."""
     fields = raw.split("\t")
     if len(fields) != 3:
         raise MalformedLine(
@@ -511,9 +543,8 @@ def _parse_line(raw: str, line_no: int) -> DependencyUnit:
         )
     index_text, surface, head_text = fields
     try:
-        index, head = int(index_text), int(head_text)
+        int(index_text), int(head_text)
     except ValueError:
         raise MalformedLine("index and head must be integers", line_no) from None
     if not surface:
         raise MalformedLine("empty surface field", line_no)
-    return DependencyUnit(index, surface, head)

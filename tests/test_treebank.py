@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import operator
+import pickle
 import random
 import re
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -13,9 +16,11 @@ from hypothesis import strategies as st
 
 import treegen
 from memload.treebank import (
+    _TOKEN_RE,
     ConstituencyTree,
     DependencySentence,
     DependencyUnit,
+    DepFormatError,
     EmptyAfterNormalization,
     EmptyTree,
     HeadOutOfRange,
@@ -297,6 +302,65 @@ def test_errors_point_at_tokens(text):
         assert error.column in token_starts, (error, line)
 
 
+# Every code point that str.isspace, and so str.split(), takes for whitespace.
+WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+
+
+def ptb_split(text: str) -> list[str]:
+    return text.replace("(", " ( ").replace(")", " ) ").split()
+
+
+def test_split_and_token_regex_agree_on_whitespace():
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(filter(str.isspace, everything)) == WHITESPACE
+    assert "".join(re.findall(r"\s", everything)) == WHITESPACE
+    assert len(WHITESPACE) == 29
+    text = "(S" + WHITESPACE.join(["(N a)", "b", "(", "c)d", ")", "(e(f))"]) + "g"
+    assert _TOKEN_RE.findall(text) == ptb_split(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["(", ")", "a", "NP", "\ufeff", *WHITESPACE])).map("".join))
+def test_split_tokens_are_the_token_regex_matches(text):
+    assert _TOKEN_RE.findall(text) == ptb_split(text)
+
+
+@pytest.mark.parametrize("shift", range(2, 37, 2))
+def test_tokens_across_the_piece_boundary(shift):
+    # The reader splits the text in pieces of about 64K characters; move
+    # the last tree across the first cut, so each of its tokens straddles it.
+    text = " " * shift + "(S (N a))\n" * 6550 + "(NP (DT word) (NN longerword)) ) x"
+    errors: list[PtbParseError] = []
+    trees = parse_ptb_corpus(text, on_error=errors.append)
+    assert len(trees) == 6551
+    assert as_nested(trees[-1]) == ["NP", ["DT", "word"], ["NN", "longerword"]]
+    assert [(type(e), e.line, e.column) for e in errors] == [
+        (UnbalancedBrackets, 6551, 32),
+        (LeafWithoutLabel, 6551, 34),
+    ]
+
+
+@pytest.mark.parametrize(
+    "space, positions",
+    [
+        ("\x85", [(2, 1), (4, 1)]),  # a line break, as for str.splitlines
+        ("\u2028", [(2, 1), (4, 1)]),
+        ("\u3000", [(1, 11), (1, 16)]),  # whitespace that breaks no line
+        ("\xa0", [(1, 11), (1, 16)]),
+        ("\u2003", [(1, 11), (1, 16)]),
+    ],
+)
+def test_error_columns_after_unicode_whitespace(space, positions):
+    text = "(S (N a))" + space.join(["", "(X", ")", ") (N", "b)"])
+    errors: list[PtbParseError] = []
+    assert len(parse_ptb_corpus(text, on_error=errors.append)) == 2
+    assert [type(e) for e in errors] == [EmptyTree, UnbalancedBrackets]
+    assert [(e.line, e.column) for e in errors] == positions
+
+
 def test_round_trip_random_trees():
     rng = random.Random(4)
     for _ in range(200):
@@ -515,6 +579,172 @@ def test_dep_round_trip(sentences):
 def test_from_heads_builds_surfaces():
     sentence = DependencySentence.from_heads([2, 0])
     assert [u.surface for u in sentence.units] == ["w1", "w2"]
+
+
+# The per-line dep reader that the bulk one replaced, kept as a reference:
+# it parses and checks unit by unit and shares nothing with the library but
+# its exception classes.  Sentences come back as (index, surface, head) rows.
+def reference_dep_read(text: str, on_error) -> list[list[tuple[int, str, int]]]:
+    sentences, units, error = [], [], None
+    for line_no, raw in enumerate([*text.splitlines(), ""], start=1):
+        if raw.startswith("#"):
+            continue
+        if raw.strip():
+            if error is None:
+                try:
+                    units.append(reference_dep_line(raw, line_no))
+                except MalformedLine as exc:
+                    error = exc
+            continue
+        if units or error is not None:
+            try:
+                if error is not None:
+                    raise error
+                sentences.append(reference_dep_check(units))
+            except DepFormatError as exc:
+                if on_error is None:
+                    raise
+                on_error(exc)
+            units, error = [], None
+    return sentences
+
+
+def reference_dep_line(raw: str, line_no: int) -> tuple[int, str, int]:
+    fields = raw.split("\t")
+    if len(fields) != 3:
+        message = f"expected INDEX<TAB>SURFACE<TAB>HEAD, got {len(fields)} field(s)"
+        raise MalformedLine(message, line_no)
+    index_text, surface, head_text = fields
+    try:
+        index, head = int(index_text), int(head_text)
+    except ValueError:
+        raise MalformedLine("index and head must be integers", line_no) from None
+    if not surface:
+        raise MalformedLine("empty surface field", line_no)
+    return index, surface, head
+
+
+def reference_dep_check(units: list[tuple[int, str, int]]) -> list[tuple[int, str, int]]:
+    n = len(units)
+    roots, bad = [], None
+    for position, (index, _, head) in enumerate(units, start=1):
+        if index != position:
+            got = [unit[0] for unit in units]
+            raise NonContiguousIndices(f"unit indices must be exactly 1..{n} in order, got {got}")
+        if head == 0:
+            roots.append(position)
+        elif bad is None and (head == position or not 0 < head <= n):
+            bad = position, head
+    if bad is not None and bad[0] == bad[1]:
+        raise SelfHead(f"unit {bad[0]} depends on itself")
+    if bad is not None:
+        raise HeadOutOfRange(f"unit {bad[0]} has head {bad[1]}, outside 0..{n}")
+    if len(roots) > 1:
+        raise MultipleRoots(f"units {roots} all have head 0")
+    if not roots:
+        raise MissingRoot("no unit has head 0")
+    return units
+
+
+def reference_dep_repr(units: list[tuple[int, str, int]]) -> str:
+    inner = ", ".join(
+        f"DependencyUnit(index={i!r}, surface={s!r}, head={h!r})" for i, s, h in units
+    )
+    return f"DependencySentence(units=({inner}{',' if len(units) == 1 else ''}))"
+
+
+# Index and head fields: int() accepts all but the last three.
+DEP_NUMBERS = ["0", "1", "2", "3", "-1", " 1", "+2", "1_0", "\u0661", "x", "", "1.0"]
+
+
+@st.composite
+def dep_texts(draw) -> str:
+    """Dep input that is mostly well formed, with every kind of fault mixed in."""
+    parts = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(1, 5))
+        for i in range(1, n + 1):
+            index = draw(st.sampled_from([str(i), str(i), str(i + 1), *DEP_NUMBERS]))
+            head = draw(st.sampled_from([*map(str, range(n + 1)), *DEP_NUMBERS]))
+            surface = draw(st.sampled_from(["w", "a b", "#", ""]))
+            faulty = [[index, surface], [head], [index, surface, head, "x"]]
+            shapes = [[index, surface, head]] * 8 + faulty
+            comment = draw(st.sampled_from([None] * 6 + ["# note", "#\t1\tw\t0"]))
+            parts += [comment] if comment else []
+            parts.append("\t".join(draw(st.sampled_from(shapes))))
+        parts.append(draw(st.sampled_from(["", "", " ", "\t", "\xa0", "\u3000 "])))
+    line_breaks = st.sampled_from(["\n", "\n", "\r\n", "\x85", "\r"])
+    breaks = draw(st.lists(line_breaks, min_size=len(parts), max_size=len(parts)))
+    return "".join(part + brk for part, brk in zip(parts, breaks))
+
+
+def described(errors: list[Exception]) -> list[tuple[type, str, int | None]]:
+    return [(type(e), str(e), getattr(e, "line_no", None)) for e in errors]
+
+
+@settings(max_examples=400, deadline=None)
+@given(dep_texts())
+def test_dep_reader_agrees_with_the_per_line_reference(text):
+    got_errors: list[Exception] = []
+    want_errors: list[Exception] = []
+    got = parse_dep_corpus(text, on_error=got_errors.append)
+    want = reference_dep_read(text, want_errors.append)
+    assert [s.heads for s in got] == [tuple(head for _, _, head in units) for units in want]
+    assert [repr(s) for s in got] == [reference_dep_repr(units) for units in want]
+    assert described(got_errors) == described(want_errors)
+    strict = []
+    for read in (parse_dep_corpus, reference_dep_read):
+        try:
+            read(text, None)
+        except DepFormatError as exc:
+            strict.append(described([exc]))
+    assert strict == ([described(got_errors[:1])] * 2 if got_errors else [])
+
+
+@pytest.mark.parametrize(
+    "text, error, line_no",
+    [
+        ("1\ta\t0\n2\tb\n", "field(s)", 2),
+        ("1\ta\t0\t9\n", "field(s)", 1),
+        ("1\ta\tx\n2\t\t0\n", "integers", 1),
+        ("1\t\tx\n", "integers", 1),  # integers are checked before the surface
+        ("1\ta\t0\r\n2\t\t1\r\n", "empty surface", 2),
+        ("1\ta\t0\x85# c\x852\tb\n", "field(s)", 3),
+        ("# c\n\n1\ta\t1.0\n", "integers", 3),
+    ],
+)
+def test_dep_malformed_line_is_found_after_the_bulk_parse(text, error, line_no):
+    with pytest.raises(MalformedLine) as info:
+        parse_dep_corpus(text)
+    assert error in str(info.value) and info.value.line_no == line_no
+
+
+def test_dep_int_edge_cases_read_as_int_does():
+    # " 1", "2 ", "+2", "1_0" and the Arabic-Indic digit three are read by int().
+    [sentence] = parse_dep_corpus(" 1\ta\t+2\n2 \tb\t0\n\u0663\tc\t2\n")
+    assert sentence.heads == (2, 0, 2)
+    with pytest.raises(HeadOutOfRange, match="unit 1 has head 10"):
+        parse_dep_corpus("1\ta\t1_0\n2\tb\t0\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(dep_sentences())
+def test_reader_built_sentences_match_constructed_ones(built):
+    [read] = parse_dep_corpus(treegen.dep_text([built]))
+    assert read.heads == built.heads and read.surfaces == built.surfaces
+    assert len(read) == len(built)
+    assert read == built and hash(read) == hash(built) and repr(read) == repr(built)
+    for clone in (pickle.loads(pickle.dumps(read)), copy.copy(read), copy.deepcopy(read)):
+        assert type(clone) is DependencySentence
+        assert clone == built and hash(clone) == hash(built) and repr(clone) == repr(built)
+    assert read.units is read.units and read.units == built.units
+
+
+def test_constructed_sentence_keeps_its_units():
+    units = (DependencyUnit(1, "a", 2), DependencyUnit(2, "b", 0))
+    sentence = DependencySentence(units)
+    assert sentence.units is units
+    assert sentence.heads == (2, 0) and sentence.surfaces == ("a", "b")
 
 
 def test_normalize_label_rules():
