@@ -9,9 +9,8 @@ tables summarize a corpus, with counts above chosen thresholds.
 
 from __future__ import annotations
 
-from . import depload, profiles, stackdepth, stats, treebank
+from . import depload, stackdepth, stats, treebank
 from .depload import *
-from .profiles import *
 from .stackdepth import *
 from .stats import *
 from .treebank import *
@@ -23,7 +22,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     *treebank.__all__,
-    *profiles.__all__,
     *depload.__all__,
     *stackdepth.__all__,
     *stats.__all__,

@@ -16,9 +16,10 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .depload import LeftwardHead, ensure_rightward, load_profile
-from .profiles import DepthProfile
 from .stackdepth import MetricConfig, NumberingScheme, np_depths, word_depths
-from .stats import DEFAULT_THRESHOLDS, render, sentence_histogram, unit_histogram
+from .stats import (
+    DEFAULT_THRESHOLDS, OUTPUT_FORMATS, DepthProfile, render, sentence_histogram, unit_histogram
+)
 from .treebank import (
     EmptyAfterNormalization,
     TreebankError,
@@ -47,9 +48,8 @@ METHODS = {
 }
 # In the order --help has always listed them: ptb first.
 FORMATS = tuple(dict.fromkeys(m.format for m in reversed(METHODS.values())))
-OUTPUT_FORMATS = ("text", "csv", "json")
-# A byte-order mark after any line break that str.splitlines knows.
-_LINE_START_BOM = re.compile("(?<=[\n\r\v\f\x1c-\x1e\x85\u2028\u2029])\ufeff")
+# A byte-order mark at the file's start or, as `cat` leaves one, after a str.splitlines break.
+_LINE_START_BOM = re.compile("(?<![^\n\r\v\f\x1c-\x1e\x85\u2028\u2029])\ufeff")
 
 
 class InvalidConfig(ValueError):
@@ -100,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--thresholds",
-        default="5,7,9",
+        default=",".join(map(str, DEFAULT_THRESHOLDS)),
         metavar="T1,T2,...",
-        help="report counts above these values (default: 5,7,9)",
+        help="report counts above these values (default: %(default)s)",
     )
     parser.add_argument("--output", choices=OUTPUT_FORMATS, default="text", help="report format")
     parser.add_argument(
@@ -197,9 +197,7 @@ def _collect_profiles(
 def run(config: RunConfig) -> int:
     """Execute one analysis: report on stdout, diagnostics on stderr."""
     try:
-        # utf-8-sig drops a leading byte-order mark, which is not input text;
-        # one that begins a later line, as concatenated files leave, goes too.
-        text = Path(config.input_path).read_text(encoding="utf-8-sig")
+        text = Path(config.input_path).read_text(encoding="utf-8")
         if "\ufeff" in text:
             text = _LINE_START_BOM.sub("", text)
     except (OSError, UnicodeDecodeError) as exc:

@@ -7,7 +7,7 @@ per-step count of such pending units is the load the sentence imposes.
 
 from __future__ import annotations
 
-from .profiles import DepthProfile
+from .stats import DepthProfile
 from .treebank import DependencySentence, TreebankError
 
 __all__ = ["LeftwardHead", "load_profile", "load_profile_oracle", "ensure_rightward"]

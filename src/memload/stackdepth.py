@@ -17,7 +17,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
-from .profiles import DepthProfile
+from .stats import DepthProfile
 from .treebank import ConstituencyTree
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""Aggregate per-sentence load profiles into frequency tables and reports."""
+"""Per-sentence load profiles, and their frequency tables and reports."""
 
 from __future__ import annotations
 
@@ -7,12 +7,12 @@ from collections import Counter
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .profiles import DepthProfile
 from .treebank import _Record
 
 __all__ = [
     "DEFAULT_THRESHOLDS",
     "UnsupportedFormat",
+    "DepthProfile",
     "Histogram",
     "ThresholdReport",
     "unit_histogram",
@@ -22,11 +22,31 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLDS = (5, 7, 9)
+OUTPUT_FORMATS = ("text", "csv", "json")
 _THRESHOLD_KEYS = "threshold units_over units_fraction sentences_over sentences_fraction".split()
 
 
 class UnsupportedFormat(ValueError):
     """Requested report format is not one of text, csv, or json."""
+
+
+class DepthProfile(_Record):
+    """Load values for one sentence, one per measured unit, in reading order."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]) -> None:
+        if any(v < 0 for v in values):
+            raise ValueError("load values cannot be negative")
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @property
+    def sentence_max(self) -> int:
+        """Largest load reached anywhere in the sentence, 0 when empty."""
+        return max(self.values, default=0)
 
 
 class Histogram(_Record):
@@ -104,7 +124,7 @@ def render(
     value.  thresholds, when given, appends the exceedance report for both
     tables; method, when given, labels the text and json output.
     """
-    if fmt not in ("text", "csv", "json"):
+    if fmt not in OUTPUT_FORMATS:
         raise UnsupportedFormat(f"unknown output format {fmt!r}")
     units = threshold_report(unit_hist, thresholds or ())
     sentences = threshold_report(sentence_hist, thresholds or ())

@@ -168,13 +168,14 @@ class ConstituencyTree(_Record):
         return not self.children
 
     def leaves(self) -> Iterator[ConstituencyTree]:
+        return (node for node in self._nodes() if not node.children)
+
+    def _nodes(self) -> Iterator[ConstituencyTree]:
         stack = [self]
         while stack:
             node = stack.pop()
-            if node.children:
-                stack.extend(reversed(node.children))
-            else:
-                yield node
+            yield node
+            stack.extend(reversed(node.children))
 
     def to_bracketed(self) -> str:
         return self._write(
@@ -206,31 +207,21 @@ class ConstituencyTree(_Record):
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if (
-                a.__class__ is not b.__class__
-                or a.label != b.label
-                or a.surface != b.surface
-                or len(a.children) != len(b.children)
-            ):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
+        # A preorder run of child counts ends exactly where its tree does, so no
+        # run is a proper prefix of another: map may stop at the shorter one.
+        a, b = (
+            ((node.__class__, node.label, node.surface, len(node.children)) for node in t._nodes())
+            for t in (self, other)
+        )
+        return all(map(eq, a, b))
 
     def __hash__(self) -> int:
-        # Parents before children; hashed in reverse, children come first.
-        nodes = [self]
-        for node in nodes:
-            nodes.extend(node.children)
-        hashes: dict[int, _Hashed] = {}
-        for node in reversed(nodes):
-            children = tuple(hashes[id(child)] for child in node.children)
-            hashes[id(node)] = _Hashed(hash((node.label, children, node.surface)))
-        return hashes[id(self)].value
+        # Reversed preorder meets a node after its children; their hashes top the stack.
+        hashes: list[_Hashed] = []
+        for node in reversed(list(self._nodes())):
+            children = tuple([hashes.pop() for _ in node.children])
+            hashes.append(_Hashed(hash((node.label, children, node.surface))))
+        return int(hashes[0])
 
     def __repr__(self) -> str:
         return self._write(
@@ -240,16 +231,11 @@ class ConstituencyTree(_Record):
         )
 
 
-class _Hashed:
+class _Hashed(int):
     """Stands in for a subtree inside a tuple: hashes to the subtree's hash."""
 
-    __slots__ = ("value",)
-
-    def __init__(self, value: int) -> None:
-        self.value = value
-
     def __hash__(self) -> int:
-        return self.value
+        return int(self)  # hash() keeps a returned int that fits a machine word
 
 
 _set_label = ConstituencyTree.label.__set__

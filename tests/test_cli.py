@@ -151,6 +151,15 @@ def test_bad_thresholds_are_config_errors(capsys):
     assert "thresholds" in err
 
 
+def test_help_names_the_default_thresholds(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    # argparse wraps help to the terminal width; compare with the wrapping undone.
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "report counts above these values (default: 5,7,9)" in help_text
+
+
 def test_unknown_method_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["--input", DEP_FIXTURE, "--format", "dep", "--method", "nope"])
@@ -167,16 +176,21 @@ def test_unreadable_input_exits_one(capsys):
     assert "cannot read" in err
 
 
-def test_non_utf8_input_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_non_utf8_input_exits_one(tmp_path, capsys, prefix):
+    # The byte position counts from the start of the file, mark included.
     corpus = tmp_path / "latin1.ptb"
-    corpus.write_bytes(b"(S (N \xff))")
+    corpus.write_bytes(prefix + b"(S (N \xff))")
     code, out, err = run_cli(
         capsys,
         "--input", str(corpus), "--format", "ptb", "--method", "yngve-word",
     )
     assert code == 1
     assert out == ""
-    assert err.startswith("memload: cannot read input: ")
+    assert err == (
+        "memload: cannot read input: 'utf-8' codec can't decode byte 0xff in position "
+        f"{len(prefix) + 6}: invalid start byte\n"
+    )
 
 
 @pytest.mark.parametrize("strict", [False, True])

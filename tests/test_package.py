@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,11 @@ def test_public_names_are_pinned():
     assert len(memload.__all__) == len(PUBLIC_NAMES)
     for name in memload.__all__:
         getattr(memload, name)
+
+
+def test_modules_are_pinned():
+    modules = {module.name for module in pkgutil.iter_modules(memload.__path__)}
+    assert modules == {"__main__", "cli", "depload", "stackdepth", "stats", "treebank"}
 
 
 RECORDS = [

@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from memload.profiles import DepthProfile
 from memload.stats import (
+    DepthProfile,
     Histogram,
     ThresholdReport,
     UnsupportedFormat,

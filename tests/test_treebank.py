@@ -270,10 +270,16 @@ def test_eq_hash_repr_match_the_dataclass_ones():
         near = ConstituencyTree.phrase(
             tree.label, tree.children[:-1] + (ConstituencyTree.word("zz"),)
         )
-        for b in (copy, other, near):
+        # One more leaf under the last internal node in preorder: the two
+        # preorder runs agree up to that node.
+        text = tree.to_bracketed()
+        end = text.index(")", text.rindex("("))
+        [longer] = parse_ptb_corpus(text[:end] + " zz" + text[end:])
+        for b in (copy, other, near, longer, tree.children[0]):
             assert (tree == b) == (mirror(tree) == mirror(b))
             assert (tree != b) == (mirror(tree) != mirror(b))
-        assert tree == copy and tree != near
+        assert tree == copy and tree != near and tree != longer != tree
+        assert tree != tree.children[0] != tree
         assert hash(tree) == hash(mirror(tree)) == hash(copy)
         assert repr(tree) == repr(mirror(tree)).replace("TreeMirror(", "ConstituencyTree(")
     assert ConstituencyTree.word("w").__eq__("w") is NotImplemented
