@@ -1,7 +1,5 @@
 """Allow running the CLI as `python -m memload`."""
 
-import sys
-
 from .cli import main
 
-sys.exit(main())
+raise SystemExit(main())

@@ -10,6 +10,7 @@ or a sentence error under --strict, 2 invalid option combination.
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 from pathlib import Path
@@ -163,8 +164,9 @@ def _collect_profiles(
 ) -> tuple[list[DepthProfile], int, int]:
     """Parse and measure every sentence; returns profiles, attempted, skipped."""
     method = METHODS[config.method]
-    errors: list[TreebankError] = []
-    on_error = None if config.strict else errors.append
+    # Classes, not exceptions: a raised one's traceback ties the reader's frame into a cycle.
+    errors: list[type[TreebankError]] = []
+    on_error = None if config.strict else (lambda exc: errors.append(type(exc)))
     if method.scheme is None:
         sentences = parse_dep_corpus(text, on_error=on_error)
 
@@ -196,31 +198,39 @@ def _collect_profiles(
 
 def run(config: RunConfig) -> int:
     """Execute one analysis: report on stdout, diagnostics on stderr."""
+    # Every record a run builds is immutable and acyclic, so reference counting
+    # frees it; the cyclic collector would only re-walk the whole corpus.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        text = Path(config.input_path).read_text(encoding="utf-8")
-        if "\ufeff" in text:
-            text = _LINE_START_BOM.sub("", text)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"memload: cannot read input: {exc}", file=sys.stderr)
-        return 1
-    try:
-        profiles, attempted, skipped = _collect_profiles(text, config)
-    except TreebankError as exc:
-        print(f"memload: {exc}", file=sys.stderr)
-        return 1
-    report = render(
-        unit_histogram(profiles),
-        sentence_histogram(profiles),
-        config.output_format,
-        method=config.method,
-        thresholds=config.thresholds,
-    )
-    sys.stdout.write(report)
-    if skipped:
-        print(
-            f"memload: skipped {skipped} of {attempted} sentences", file=sys.stderr
+        try:
+            text = Path(config.input_path).read_text(encoding="utf-8")
+            if "\ufeff" in text:
+                text = _LINE_START_BOM.sub("", text)
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"memload: cannot read input: {exc}", file=sys.stderr)
+            return 1
+        try:
+            profiles, attempted, skipped = _collect_profiles(text, config)
+        except TreebankError as exc:
+            print(f"memload: {exc}", file=sys.stderr)
+            return 1
+        report = render(
+            unit_histogram(profiles),
+            sentence_histogram(profiles),
+            config.output_format,
+            method=config.method,
+            thresholds=config.thresholds,
         )
-    return 0
+        sys.stdout.write(report)
+        if skipped:
+            print(
+                f"memload: skipped {skipped} of {attempted} sentences", file=sys.stderr
+            )
+        return 0
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -186,12 +186,8 @@ def grouped_stack_oracle_depths(tree: ConstituencyTree) -> DepthProfile:
             if len(entry) > 1:
                 stack.append(entry[1:])
             stack.append(entry[0])
-            continue
-        if entry.is_leaf:
+        elif entry.is_leaf:
             values.append(len(stack))
         else:
-            children = entry.children
-            if len(children) > 1:
-                stack.append(children[1:])
-            stack.append(children[0])
+            stack.append(tuple(entry.children))  # one group; the next pop splits off the first
     return DepthProfile(tuple(values))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -36,7 +35,7 @@ class DepthProfile(_Record):
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[int, ...]) -> None:
-        if any(v < 0 for v in values):
+        if values and min(values) < 0:
             raise ValueError("load values cannot be negative")
         object.__setattr__(self, "values", values)
 
@@ -131,6 +130,7 @@ def render(
     # Rows of threshold, unit count and fraction, sentence count and fraction.
     exceeded = zip(*units, *sentences[1:])
     if fmt == "json":
+        import json  # here, not at the top: only json output pays for the import
         payload = {
             "method": method,
             "unit_histogram": {

@@ -265,9 +265,11 @@ def parse_ptb_corpus(
     Whitespace and line breaks between tokens are free.  An unlabeled outer
     wrapper "( ... )" around one or more trees is unwrapped.  With the
     default on_error=None the first malformed sentence raises; with a
-    callback each error is reported to it and the sentence skipped.
+    callback each error is reported to it and the sentence skipped.  Leaves
+    with the same surface are one shared leaf.
     """
     trees: list[ConstituencyTree] = []
+    leaves: dict[str, ConstituencyTree] = {}
     # Open nodes, outermost first, as [label, children, index of "("].  The
     # label is None until its token arrives and "" for an unlabeled wrapper,
     # whose children are the trees it holds.
@@ -313,7 +315,7 @@ def parse_ptb_corpus(
             if node[0] is None:
                 node[0] = token
             elif node[0]:
-                node[1].append(_node("", (), token))
+                node[1].append(leaves.get(token) or leaves.setdefault(token, _node("", (), token)))
             else:
                 message = f"surface token {token!r} directly under an unlabeled wrapper"
                 errors.append((LeafWithoutLabel, message, index))
@@ -512,25 +514,19 @@ def _read_block(block: list[str], lines: list[str], start: int, end: int) -> Dep
         well_formed = all(surfaces) and set(map(str.count, block, repeat("\t"))) == {2}
     except ValueError:
         well_formed = False
-    if not well_formed:
+    if not well_formed:  # word the first malformed line's first fault
         for line_no, raw in enumerate(lines[start - 1 : end - 1], start=start):
-            if raw[0] != "#":
-                _parse_line(raw, line_no)
+            if raw[0] == "#":
+                continue
+            fields = raw.split("\t")
+            if len(fields) != 3:
+                message = f"expected INDEX<TAB>SURFACE<TAB>HEAD, got {len(fields)} field(s)"
+                raise MalformedLine(message, line_no)
+            try:
+                int(fields[0]), int(fields[2])
+            except ValueError:
+                raise MalformedLine("index and head must be integers", line_no) from None
+            if not fields[1]:
+                raise MalformedLine("empty surface field", line_no)
     _check_dep_sentence(indices, heads)
     return _dep_sentence(heads, surfaces)
-
-
-def _parse_line(raw: str, line_no: int) -> None:
-    """Raise MalformedLine for a line's first fault: its fields, integers, surface."""
-    fields = raw.split("\t")
-    if len(fields) != 3:
-        raise MalformedLine(
-            f"expected INDEX<TAB>SURFACE<TAB>HEAD, got {len(fields)} field(s)", line_no
-        )
-    index_text, surface, head_text = fields
-    try:
-        int(index_text), int(head_text)
-    except ValueError:
-        raise MalformedLine("index and head must be integers", line_no) from None
-    if not surface:
-        raise MalformedLine("empty surface field", line_no)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memload
-from memload.cli import METHODS, main
+from memload import cli
+from memload.cli import METHODS, RunConfig, main, run
 
 DATA = Path(__file__).parent / "data"
 DEP_FIXTURE = str(DATA / "boy_doll.dep")
@@ -257,6 +259,81 @@ def test_strict_aborts_on_bad_sentence(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "line 2" in err
+
+
+@contextlib.contextmanager
+def gc_state(enabled: bool):
+    """Run the block with the cyclic collector on or off, then restore it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+# Every way run() returns: a report, an unreadable file, a --strict sentence error.
+EXITS = {
+    "report": ("(S (N a))\n(X)\n", [], 0),
+    "unreadable": (None, [], 1),
+    "strict-error": ("(S (N a))\n(X)\n", ["--strict"], 1),
+}
+
+
+@pytest.mark.parametrize("exit_path", EXITS)
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_gc_state_is_restored_on_every_exit(tmp_path, capsys, enabled, exit_path):
+    text, flags, want = EXITS[exit_path]
+    corpus = tmp_path / "corpus.ptb"
+    if text is not None:
+        corpus.write_text(text, encoding="utf-8")
+    argv = ["--input", str(corpus), "--format", "ptb", "--method", "yngve-word", *flags]
+    with gc_state(enabled):
+        assert main(argv) == want
+        assert gc.isenabled() is enabled
+        assert run(RunConfig(corpus, "yngve-word", strict="--strict" in flags)) == want
+        assert gc.isenabled() is enabled
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_gc_is_paused_while_sentences_are_measured(monkeypatch, capsys, enabled):
+    seen = []
+
+    def collect(text, config):
+        seen.append(gc.isenabled())
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(cli, "_collect_profiles", collect)
+    with gc_state(enabled):
+        with pytest.raises(RuntimeError, match="stop"):
+            run(RunConfig(Path(PTB_FIXTURE), "yngve-word"))
+        assert gc.isenabled() is enabled
+    assert seen == [False]
+
+
+# One sentence of each kind the CLI skips, then one it measures.
+SKIPPED = {
+    "yngve-word": "(X)\n(S (-NONE- *T*))\n(S (N a)))\n(S (N a) (CC and) (N b))\n",
+    "dep-load": (
+        "1\ta\n\n1\tx\ty\n\n1\t\t0\n\n2\ta\t0\n\n1\ta\t0\n2\tb\t0\n\n1\ta\t1\n\n"
+        "1\ta\t5\n\n1\ta\t2\n2\tb\t1\n\n2\ta\t1\n1\tb\t0\n\n1\ta\t0\n2\tb\t1\n\n1\ta\t2\n2\tb\t0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("method", SKIPPED)
+def test_skipping_sentences_leaves_no_cyclic_garbage(tmp_path, capsys, method):
+    # run() pauses the cyclic collector, so reference counting alone must free
+    # what it builds, on the skip paths too.
+    corpus = tmp_path / "skips.txt"
+    corpus.write_text(SKIPPED[method], encoding="utf-8")
+    config = RunConfig(corpus, method, output_format="csv", strict_rightward=method == "dep-load")
+    with gc_state(False):
+        gc.collect()
+        assert run(config) == 0
+        assert gc.collect() == 0
+    assert capsys.readouterr().err.startswith("memload: skipped ")
 
 
 def test_punctuation_only_sentence_skipped(tmp_path, capsys):

@@ -117,14 +117,12 @@ def test_records_survive_pickle_and_copy(record):
         assert type(clone) is type(record) and clone == record
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
+def modules_after_cli_import(names: set[str]) -> str:
+    """Which of names sys.modules holds after `import memload.cli`, printed as a list."""
     # A fresh interpreter, so nothing imported by this test run counts.
     package_root = str(Path(memload.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import memload.cli, sys; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+    code = f"import memload.cli, sys; print(sorted({names!r} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -132,4 +130,13 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         env={**os.environ, "PYTHONPATH": pythonpath},
         check=True,
     )
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    assert modules_after_cli_import({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_cli_import_leaves_out_json():
+    # Only json output needs the module; render imports it then.
+    assert modules_after_cli_import({"json"}) == "[]\n"

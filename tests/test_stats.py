@@ -32,6 +32,17 @@ from anchors import (
 WALKTHROUGH = DepthProfile((1, 1, 2, 2, 0))
 
 
+@pytest.mark.parametrize("values", [(-1,), (3, -2, 0), (0, 0, -1)])
+def test_depth_profile_rejects_negative_values(values):
+    with pytest.raises(ValueError, match="^load values cannot be negative$"):
+        DepthProfile(values)
+
+
+@pytest.mark.parametrize("values", [(), (0,), (2, 0, 1)])
+def test_depth_profile_keeps_non_negative_values(values):
+    assert DepthProfile(values).values is values
+
+
 def test_unit_histogram_walkthrough():
     histogram = unit_histogram([WALKTHROUGH])
     assert histogram.bins == {0: 1, 1: 2, 2: 2}

@@ -285,6 +285,34 @@ def test_eq_hash_repr_match_the_dataclass_ones():
     assert ConstituencyTree.word("w").__eq__("w") is NotImplemented
 
 
+def test_leaves_with_one_surface_are_one_shared_leaf():
+    first, second = parse_ptb_corpus("(S-1 (N a) (, ,) (V b) (N a))\n(S (N a))\n")
+    a = first.children[0].children[0]
+    assert a is first.children[3].children[0] is second.children[0].children[0]
+    assert a is not first.children[2].children[0]
+    # normalize_tree rebuilds S (its label and children change) but keeps the leaves.
+    cleaned = normalize_tree(first)
+    assert cleaned.to_bracketed() == "(S (N a) (V b) (N a))"
+    assert [leaf.surface for leaf in cleaned.leaves()] == ["a", "b", "a"]
+    assert all(map(operator.is_, cleaned.leaves(), [a, first.children[2].children[0], a]))
+    # A second call shares nothing with the first.
+    [again] = parse_ptb_corpus("(S (N a))")
+    assert again.children[0].children[0] is not a
+
+
+def test_parsed_trees_with_shared_leaves_match_built_ones():
+    word, phrase = ConstituencyTree.word, ConstituencyTree.phrase
+    the_dog = [phrase("NP", [word("the"), word("dog")])]
+    built = phrase("S", the_dog + [phrase("VP", [word("saw")] + the_dog)])
+    trees = [built] + treegen.random_trees(seed=44, count=200, max_depth=5, max_branching=4)
+    parsed = parse_ptb_corpus("\n".join(tree.to_bracketed() for tree in trees))
+    assert parsed[0].children[0].children[0] is parsed[0].children[1].children[1].children[0]
+    for tree, reparsed in zip(trees, parsed, strict=True):
+        assert reparsed == tree and tree == reparsed
+        assert hash(reparsed) == hash(tree)
+        assert repr(reparsed) == repr(tree)
+
+
 PTB_TOKEN_RE = re.compile(r"[()]|[^()\s]+")
 
 
