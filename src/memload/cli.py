@@ -3,14 +3,17 @@
 Reads a bracketed (ptb) or tab-separated dependency (dep) corpus, computes
 the chosen load metric for every sentence, and writes the unit and sentence
 frequency tables to stdout.  Bad sentences are skipped and counted on
-stderr unless --strict is given.  Exit codes: 0 success, 1 unreadable input
-or a sentence error under --strict, 2 invalid option combination.
+stderr unless --strict is given.  Exit codes: 0 success, 1 unreadable input,
+unwritable output or a sentence error under --strict, 2 invalid option
+combination.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
+import os
 import re
 import sys
 from pathlib import Path
@@ -153,10 +156,19 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _parse_thresholds(text: str) -> tuple[int, ...]:
+    parts = text.split(",")
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(map(int, parts))
     except ValueError:
-        raise InvalidConfig(f"--thresholds wants comma-separated integers, got {text!r}") from None
+        pass
+    # Python 3.11+ refuses to convert an integer longer than its digit limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for digits in (part.strip().lstrip("+-") for part in parts):
+        if limit and len(digits) > limit and digits.isdecimal():
+            raise InvalidConfig(
+                f"--thresholds value has {len(digits)} digits; Python's int() takes at most {limit}"
+            )
+    raise InvalidConfig(f"--thresholds wants comma-separated integers, got {text!r}")
 
 
 def _collect_profiles(
@@ -222,7 +234,19 @@ def run(config: RunConfig) -> int:
             method=config.method,
             thresholds=config.thresholds,
         )
-        sys.stdout.write(report)
+        try:
+            if sys.stdout is None:  # started with fd 1 closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            sys.stdout.write(report)
+            sys.stdout.flush()
+        except OSError as exc:  # a full disk, a closed pipe, ...
+            if sys.stdout is not None:
+                # What stays buffered goes to devnull at exit, not to a second error.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            print(f"memload: cannot write output: {exc}", file=sys.stderr)
+            return 1
         if skipped:
             print(
                 f"memload: skipped {skipped} of {attempted} sentences", file=sys.stderr

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .stats import DepthProfile
 from .treebank import DependencySentence, TreebankError
 
-__all__ = ["LeftwardHead", "load_profile", "load_profile_oracle", "ensure_rightward"]
+__all__ = ["LeftwardHead", "load_profile", "ensure_rightward"]
 
 
 class LeftwardHead(TreebankError):
@@ -42,27 +42,6 @@ def load_profile(sentence: DependencySentence) -> DepthProfile:
     return DepthProfile(tuple(values))
 
 
-def load_profile_oracle(sentence: DependencySentence) -> DepthProfile:
-    """Reference implementation that simulates the pending store explicitly.
-
-    Reading unit i first discharges every stored unit headed by i, then
-    stores unit i when its own head is still ahead; reading the final unit
-    empties the store.  Kept independent of load_profile so the two can
-    check each other.
-    """
-    heads = sentence.heads
-    n = len(heads)
-    store: set[int] = set()
-    values = []
-    for i in range(1, n + 1):
-        store = {j for j in store if heads[j - 1] != i}
-        head = heads[i - 1]
-        if head > i or (head == 0 and i < n):
-            store.add(i)
-        if i == n:
-            store.clear()
-        values.append(len(store))
-    return DepthProfile(tuple(values))
 
 
 def ensure_rightward(sentence: DependencySentence) -> None:

@@ -7,8 +7,7 @@ from the root.  Two numbering schemes are supported.  "yngve" charges one
 per pending right sibling, so child k of n gets n - k.  "sampson" treats
 all pending right siblings as a single stored item, capping the charge at
 1.  An optional adjustment inside coordination charges whole conjunct
-groups instead of individual children.  Literal push-down simulations of
-both unadjusted schemes are provided as independent cross-checks.
+groups instead of individual children.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ __all__ = [
     "coordination_adjusted_numbers",
     "word_depths",
     "np_depths",
-    "stack_oracle_depths",
-    "grouped_stack_oracle_depths",
 ]
 
 COORDINATOR_LABELS = frozenset({"CC", "CONJP"})
@@ -149,45 +146,3 @@ def np_depths(tree: ConstituencyTree, config: MetricConfig) -> DepthProfile:
     nothing.  A tree without any NP yields an empty profile.
     """
     return _walk_depths(tree, config, measure_nps=True)
-
-
-def stack_oracle_depths(tree: ConstituencyTree) -> DepthProfile:
-    """Word depths from a literal top-down push-down simulation.
-
-    The stack starts with the root; popping an internal node pushes its
-    children with the leftmost on top, and popping a leaf records the
-    remaining stack size.  Matches word_depths under the yngve scheme with
-    no coordination adjustment.
-    """
-    values = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            values.append(len(stack))
-        else:
-            stack.extend(reversed(node.children))
-    return DepthProfile(tuple(values))
-
-
-def grouped_stack_oracle_depths(tree: ConstituencyTree) -> DepthProfile:
-    """Word depths from a simulation storing right siblings as one item.
-
-    Expanding a node pushes all its non-leftmost children as a single
-    stored group; when the group's turn comes its first member is processed
-    and the remainder stays stored, still as one item.  Matches word_depths
-    under the sampson scheme with no coordination adjustment.
-    """
-    values: list[int] = []
-    stack: list[ConstituencyTree | tuple[ConstituencyTree, ...]] = [tree]
-    while stack:
-        entry = stack.pop()
-        if isinstance(entry, tuple):
-            if len(entry) > 1:
-                stack.append(entry[1:])
-            stack.append(entry[0])
-        elif entry.is_leaf:
-            values.append(len(stack))
-        else:
-            stack.append(tuple(entry.children))  # one group; the next pop splits off the first
-    return DepthProfile(tuple(values))

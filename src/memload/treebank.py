@@ -288,10 +288,11 @@ def parse_ptb_corpus(
             line_starts.extend(accumulate(map(len, text.splitlines(keepends=True)), initial=0))
         offset = next(match.start() for k, match in matches if k == index)
         line = bisect_right(line_starts, offset)
-        exc = kind(message, line, offset - line_starts[line - 1] + 1)
+        where = line, offset - line_starts[line - 1] + 1
         if on_error is None:
-            raise exc
-        on_error(exc)
+            # Not held in a local: this frame, on the traceback, would keep it in a cycle.
+            raise kind(message, *where)
+        on_error(kind(message, *where))
 
     # _TOKEN_RE's matches (str.split and \s agree on whitespace), piece by piece.
     pieces = (m.group().replace("(", " ( ").replace(")", " ) ") for m in _PIECE_RE.finditer(text))
@@ -499,7 +500,8 @@ def parse_dep_corpus(
             except DepFormatError as exc:
                 if on_error is None:
                     raise
-                on_error(exc)
+                # Its traceback holds this frame, and so on_error and whatever keeps exc.
+                on_error(exc.with_traceback(None))
             block = []
     return sentences
 
@@ -524,8 +526,11 @@ def _read_block(block: list[str], lines: list[str], start: int, end: int) -> Dep
                 raise MalformedLine(message, line_no)
             try:
                 int(fields[0]), int(fields[2])
+                integers = True
             except ValueError:
-                raise MalformedLine("index and head must be integers", line_no) from None
+                integers = False
+            if not integers:  # raised outside the handler, so no __context__ keeps its frame
+                raise MalformedLine("index and head must be integers", line_no)
             if not fields[1]:
                 raise MalformedLine("empty surface field", line_no)
     _check_dep_sentence(indices, heads)

@@ -23,15 +23,10 @@ from anchors import (
     WORD_TOTAL,
     YNGVE_WORD_BINS,
 )
+from oracles import grouped_stack_oracle_depths, load_profile_oracle, stack_oracle_depths
 from memload.cli import RunConfig, run
-from memload.depload import load_profile, load_profile_oracle
-from memload.stackdepth import (
-    MetricConfig,
-    NumberingScheme,
-    grouped_stack_oracle_depths,
-    stack_oracle_depths,
-    word_depths,
-)
+from memload.depload import load_profile
+from memload.stackdepth import MetricConfig, NumberingScheme, word_depths
 from memload.stats import (
     Histogram,
     sentence_histogram,

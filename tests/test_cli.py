@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -150,7 +151,23 @@ def test_bad_thresholds_are_config_errors(capsys):
         "--thresholds", "5,x",
     )
     assert code == 2
-    assert "thresholds" in err
+    assert err == "memload: --thresholds wants comma-separated integers, got '5,x'\n"
+
+
+def test_thresholds_beyond_the_int_digit_limit_name_it(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    code, _, err = run_cli(
+        capsys,
+        "--input", DEP_FIXTURE, "--format", "dep", "--method", "dep-load",
+        "--thresholds", "5," + "9" * (limit + 700),
+    )
+    assert code == 2
+    assert err == (
+        f"memload: --thresholds value has {limit + 700} digits; "
+        f"Python's int() takes at most {limit}\n"
+    )
 
 
 def test_help_names_the_default_thresholds(capsys):
@@ -451,20 +468,79 @@ def test_empty_corpus_renders_empty_tables(tmp_path, capsys):
     assert err == ""
 
 
-def test_module_invocation():
+def child_env(unbuffered: bool = False) -> dict[str, str]:
+    """Environment for a `python -m memload` child, its stdout buffered or not."""
     # The child imports the same memload as this process, installed or not.
     package_root = str(Path(memload.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+MEMLOAD = [sys.executable, "-m", "memload"]
+PTB_COMMAND = [*MEMLOAD, "--input", PTB_FIXTURE, "--format", "ptb", "--method", "yngve-word"]
+
+
+def test_module_invocation():
     result = subprocess.run(
-        [sys.executable, "-m", "memload",
-         "--input", DEP_FIXTURE, "--format", "dep", "--method", "dep-load",
+        [*MEMLOAD, "--input", DEP_FIXTURE, "--format", "dep", "--method", "dep-load",
          "--output", "csv"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=child_env(),
     )
     assert result.returncode == 0
     assert result.stdout.startswith("value,units,sentences\n0,1,0\n")
+
+
+def assert_one_output_error(returncode: int, stderr: str, code: int) -> None:
+    assert returncode == 1
+    assert stderr == f"memload: cannot write output: [Errno {code}] {os.strerror(code)}\n"
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+@BUFFERING
+def test_closed_stdout_exits_one(unbuffered):
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", *PTB_COMMAND],
+        capture_output=True,
+        text=True,
+        env=child_env(unbuffered),
+    )
+    assert_one_output_error(result.returncode, result.stderr, errno.EBADF)
+
+
+@BUFFERING
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_full_device_exits_one(unbuffered):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            PTB_COMMAND, stdout=full, stderr=subprocess.PIPE, text=True, env=child_env(unbuffered)
+        )
+    assert_one_output_error(result.returncode, result.stderr, errno.ENOSPC)
+
+
+@BUFFERING
+def test_pipe_closed_by_its_reader_exits_one(unbuffered):
+    # A 134 KB report, larger than a pipe's buffer, so no write can hide in it.
+    thresholds = ",".join(map(str, range(3000)))
+    child = subprocess.Popen(
+        [*PTB_COMMAND, "--thresholds", thresholds],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(unbuffered),
+    )
+    child.stdout.close()  # before the child has imported memload, let alone written
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert_one_output_error(child.wait(timeout=60), stderr, errno.EPIPE)
 
 
 SOUP = st.lists(

@@ -5,12 +5,8 @@ from __future__ import annotations
 import pytest
 
 import treegen
-from memload.depload import (
-    LeftwardHead,
-    ensure_rightward,
-    load_profile,
-    load_profile_oracle,
-)
+from oracles import load_profile_oracle
+from memload.depload import LeftwardHead, ensure_rightward, load_profile
 from memload.treebank import DependencySentence
 
 

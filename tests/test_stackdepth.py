@@ -8,15 +8,14 @@ import random
 import pytest
 
 import treegen
+from oracles import grouped_stack_oracle_depths, stack_oracle_depths
 from memload.stackdepth import (
     COORDINATOR_LABELS,
     MetricConfig,
     NumberingScheme,
     branch_numbers,
     coordination_adjusted_numbers,
-    grouped_stack_oracle_depths,
     np_depths,
-    stack_oracle_depths,
     word_depths,
 )
 from memload.treebank import parse_ptb_corpus

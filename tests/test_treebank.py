@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import operator
 import pickle
 import random
@@ -581,6 +582,44 @@ def test_dep_strict_raises_the_first_bad_line():
     with pytest.raises(MalformedLine) as info:
         parse_dep_corpus(text)
     assert info.value.line_no == 4
+
+
+def strict_ptb_error_type(text: str) -> list[type]:
+    # Not pytest.raises: its ExceptionInfo holds the traceback in a cycle of its own.
+    try:
+        parse_ptb_corpus(text)
+    except PtbParseError as exc:
+        return [type(exc)]
+    return []
+
+
+def dep_error_types(text: str) -> list[type]:
+    errors: list[Exception] = []
+    parse_dep_corpus(text, on_error=errors.append)
+    return [type(e) for e in errors]
+
+
+@pytest.mark.parametrize(
+    "read, text, want",
+    [
+        (strict_ptb_error_type, "(S (N a))\n(N b))\n(S (N c))\n", UnbalancedBrackets),
+        (dep_error_types, "1\ta\t0\n\n1\tx\ty\n\n1\tb\t0\n", MalformedLine),
+        (dep_error_types, "1\ta\t0\n\n1\tx\t1\n\n1\tb\t0\n", SelfHead),
+    ],
+    ids=["ptb-strict-abort", "dep-malformed-line", "dep-self-head"],
+)
+def test_reader_errors_leave_no_cyclic_garbage(read, text, want):
+    # The CLI pauses the cyclic collector, so an error raised or handed to
+    # on_error must not tie the reader's frame into a cycle.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert read(text) == [want]
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # Surfaces hold no tab and no line break, and do not start with "#".
