@@ -11,8 +11,10 @@ combination.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import gc
+import io
 import os
 import re
 import sys
@@ -237,24 +239,38 @@ def run(config: RunConfig) -> int:
         try:
             if sys.stdout is None:  # started with fd 1 closed
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            sys.stdout.write(report)
-            sys.stdout.flush()
+            _write(sys.stdout, report)
         except OSError as exc:  # a full disk, a closed pipe, ...
-            if sys.stdout is not None:
-                # What stays buffered goes to devnull at exit, not to a second error.
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
             print(f"memload: cannot write output: {exc}", file=sys.stderr)
             return 1
-        if skipped:
-            print(
-                f"memload: skipped {skipped} of {attempted} sentences", file=sys.stderr
-            )
+        if skipped and sys.stderr is not None:
+            with contextlib.suppress(OSError):  # the report is out: a closed stderr keeps exit 0
+                _write(sys.stderr, f"memload: skipped {skipped} of {attempted} sentences\n")
         return 0
     finally:
         if gc_was_enabled:
             gc.enable()
+
+
+def _write(stream, text: str) -> None:
+    """Write and flush text; to an unbuffered stream, checking the count of each raw write."""
+    try:
+        if not isinstance(getattr(stream, "buffer", None), io.RawIOBase):
+            stream.write(text)
+        else:  # a raw write may take only part of the text, and TextIOWrapper would not notice
+            stream.flush()  # text written before goes out first
+            data = memoryview(text.encode(stream.encoding, stream.errors))
+            while data:
+                written = stream.buffer.write(data)
+                if written is None:  # a non-blocking descriptor that is full
+                    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                data = data[written:]
+        stream.flush()
+    except OSError:  # what stays buffered goes to devnull at exit, not to a second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        raise
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import accumulate, chain, count, repeat
-from operator import eq, is_
+from itertools import accumulate, chain, compress, count
+from operator import eq, is_, not_
 from typing import Callable, Iterator, Sequence
 
 __all__ = [
@@ -457,11 +457,11 @@ def _dep_sentence(heads: tuple[int, ...], surfaces: tuple[str, ...]) -> Dependen
     return sentence
 
 
-def _check_dep_sentence(indices: list[int], heads: tuple[int, ...]) -> None:
-    """Raise the first of: bad indices, the first bad head, a root count other than one."""
+def _check_dep_sentence(indices: list[int] | None, heads: tuple[int, ...]) -> None:
+    """Raise the first of: bad indices (None: checked), the first bad head, not one root."""
     n = len(heads)
     positions = range(1, n + 1)
-    if indices != list(positions):
+    if indices is not None and indices != list(positions):
         raise NonContiguousIndices(f"unit indices must be exactly 1..{n} in order, got {indices}")
     if heads and (min(heads) < 0 or max(heads) > n or any(map(eq, heads, positions))):
         index, head = next((i, h) for i, h in zip(positions, heads) if h == i or not 0 <= h <= n)
@@ -480,44 +480,64 @@ def parse_dep_corpus(
 ) -> list[DependencySentence]:
     """Parse blank-line separated blocks of INDEX<TAB>SURFACE<TAB>HEAD lines.
 
-    Lines starting with "#" are ignored.  With the default on_error=None the
-    first malformed sentence raises; with a callback each error is reported
-    to it and the sentence skipped.
+    Lines starting with "#" are ignored, and index and head are read as int()
+    reads them.  With the default on_error=None the first malformed sentence
+    raises; with a callback each error is reported to it and the sentence
+    skipped.
     """
-    sentences = []
+    sentences: list[DependencySentence] = []
     lines = text.splitlines()
     lines.append("")  # closes the last block at EOF
-    block: list[str] = []  # the open block's unit lines; the first is on line start
-    for line_no, raw in enumerate(lines, start=1):
-        if raw and not raw.isspace():
-            if raw[0] != "#":
-                if not block:
-                    start = line_no
-                block.append(raw)
-        elif block:
+    start = 0  # the open block's first line, 0-based
+    # The blank lines: str.strip leaves "" exactly where a line is empty or all whitespace.
+    for end in compress(count(), map(not_, map(str.strip, lines))):
+        if end > start:
             try:
-                sentences.append(_read_block(block, lines, start, line_no))
+                sentences += _read_block(lines, start, end)
             except DepFormatError as exc:
                 if on_error is None:
                     raise
                 # Its traceback holds this frame, and so on_error and whatever keeps exc.
                 on_error(exc.with_traceback(None))
-            block = []
+        start = end + 1
     return sentences
 
 
-def _read_block(block: list[str], lines: list[str], start: int, end: int) -> DependencySentence:
-    """Parse a block's unit lines in bulk; walk lines start to end - 1 only if one is malformed."""
-    fields = "\t".join(block).split("\t")
-    surfaces = tuple(fields[1::3])
+# _NUMERALS[i] == str(i), and _VALUES maps each back to i; both grow to twice the longest block.
+_NUMERALS: list[str] = []
+_VALUES: dict[str, int] = {}
+
+
+def _read_block(lines: list[str], start: int, end: int) -> tuple[DependencySentence, ...]:
+    """The sentence of lines[start:end], a run of non-blank lines; none if all are comments.
+
+    Indices "1".."n" are matched with the numeral table and heads looked up in it; int()
+    reads any other numeral.  Only a block with a malformed line is walked, to word it.
+    """
+    block = lines[start:end]
+    joined = "\t\n\t".join(block)
+    if joined[0] == "#" or "\n\t#" in joined:  # comment lines: read the block without them
+        block = [raw for raw in block if raw[0] != "#"]
+        joined = "\t\n\t".join(block)
+    n = len(block)
+    if n >= len(_NUMERALS):
+        _NUMERALS[:] = map(str, range(2 * n + 1))
+        _VALUES.update(zip(_NUMERALS, count()))
+    fields = joined.split("\t")
+    surfaces = tuple(fields[1::4])
+    # No line holds a "\n", so a "\n" field is a separator: one at every
+    # fourth place, and nowhere else, means every line has exactly two tabs.
+    well_formed = len(fields) == 4 * n - 1 and fields[3::4] == ["\n"] * (n - 1) and all(surfaces)
     try:
-        indices, heads = list(map(int, fields[0::3])), tuple(map(int, fields[2::3]))
-        # The fields fall in rows of three only if every line has two tabs.
-        well_formed = all(surfaces) and set(map(str.count, block, repeat("\t"))) == {2}
+        indices = None if fields[0::4] == _NUMERALS[1 : n + 1] else list(map(int, fields[0::4]))
+        try:
+            heads = tuple(map(_VALUES.__getitem__, fields[2::4]))
+        except KeyError:  # a head past the table, or not written as str() writes it
+            heads = tuple(map(int, fields[2::4]))
     except ValueError:
         well_formed = False
     if not well_formed:  # word the first malformed line's first fault
-        for line_no, raw in enumerate(lines[start - 1 : end - 1], start=start):
+        for line_no, raw in enumerate(lines[start:end], start=start + 1):
             if raw[0] == "#":
                 continue
             fields = raw.split("\t")
@@ -533,5 +553,6 @@ def _read_block(block: list[str], lines: list[str], start: int, end: int) -> Dep
                 raise MalformedLine("index and head must be integers", line_no)
             if not fields[1]:
                 raise MalformedLine("empty surface field", line_no)
+        return ()  # no line was malformed, so the block held only comments
     _check_dep_sentence(indices, heads)
-    return _dep_sentence(heads, surfaces)
+    return (_dep_sentence(heads, surfaces),)

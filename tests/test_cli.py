@@ -543,6 +543,46 @@ def test_pipe_closed_by_its_reader_exits_one(unbuffered):
     assert_one_output_error(child.wait(timeout=60), stderr, errno.EPIPE)
 
 
+@BUFFERING
+def test_pipe_closed_in_the_middle_of_the_report_exits_one(unbuffered):
+    # Unbuffered, the report goes out in raw writes.  One blocked on the full
+    # pipe returns a short count when the reader closes it; the rest must not
+    # be dropped in silence.
+    thresholds = ",".join(map(str, range(3000)))
+    child = subprocess.Popen(
+        [*PTB_COMMAND, "--thresholds", thresholds],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(unbuffered),
+    )
+    assert len(child.stdout.read(4096)) == 4096  # a 134 KB report is being written
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    child.stderr.close()
+    assert_one_output_error(child.wait(timeout=60), stderr, errno.EPIPE)
+
+
+@BUFFERING
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+def test_unwritable_stderr_keeps_the_report_and_exit_zero(tmp_path, unbuffered, redirect):
+    corpus = tmp_path / "one_bad.ptb"
+    corpus.write_text("(S (N a))\n(X)\n", encoding="utf-8")
+    argv = ["--input", str(corpus), "--format", "ptb", "--method", "yngve-word", "--output", "csv"]
+    # Closed, fd 2 leaves sys.stderr None; read-only, each write fails with EBADF.
+    result = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", *MEMLOAD, *argv],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=child_env(unbuffered),
+    )
+    report, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(report), contextlib.redirect_stderr(err):
+        assert main(argv) == 0
+    assert err.getvalue() == "memload: skipped 1 of 2 sentences\n"
+    assert result.returncode == 0
+    assert result.stdout == report.getvalue()  # the whole report, and no skip line
+
+
 SOUP = st.lists(
     st.sampled_from(
         ["(", ")", "S", "N", "w", "=X", "-NONE-", "NP-SBJ", ",", "(, ,)",

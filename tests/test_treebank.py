@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treegen
+from memload import treebank
 from memload.treebank import (
     _TOKEN_RE,
     ConstituencyTree,
@@ -454,7 +455,7 @@ def test_parse_dep_example():
 
 
 def test_parse_dep_comments_and_blank_lines():
-    text = "# a comment\n1\ta\t0\n\n\n# another\n1\tb\t2\n2\tc\t0\n"
+    text = "# a comment\n1\ta\t0\n\n\n# only\n# comments\n\n# another\n1\tb\t2\n2\tc\t0\n"
     sentences = parse_dep_corpus(text)
     assert [s.heads for s in sentences] == [(0,), (2, 0)]
 
@@ -631,8 +632,8 @@ DEP_SURFACES = st.text(min_size=1, max_size=6).filter(
 
 
 @st.composite
-def dep_sentences(draw) -> DependencySentence:
-    n = draw(st.integers(1, 30))
+def dep_sentences(draw, max_units: int = 30) -> DependencySentence:
+    n = draw(st.integers(1, max_units))
     root = draw(st.integers(1, n))
     heads = []
     for i in range(1, n + 1):
@@ -728,6 +729,36 @@ def reference_dep_repr(units: list[tuple[int, str, int]]) -> str:
 
 # Index and head fields: int() accepts all but the last three.
 DEP_NUMBERS = ["0", "1", "2", "3", "-1", " 1", "+2", "1_0", "\u0661", "x", "", "1.0"]
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def odd_numerals(value: int) -> list[str]:
+    """Ways to write value that int() reads, but str() does not write."""
+    digits = str(value)
+    odd = ["0" + digits, " " + digits, digits + "\u3000", "+" + digits]
+    return odd + [digits.translate(ARABIC_INDIC)] + [f"{digits[0]}_{digits[1:]}"] * (value >= 10)
+
+
+@st.composite
+def canonical_dep_block(draw) -> list[str]:
+    """A sentence of up to 40 units as str() writes it, with at most one line changed.
+
+    The change is an index or a head written another way that int() reads, or
+    a line cut short; a comment line may head the block.
+    """
+    rows = [
+        [str(unit.index), unit.surface, str(unit.head)]
+        for unit in draw(dep_sentences(max_units=40)).units
+    ]
+    row = rows[0] if draw(st.booleans()) else draw(st.sampled_from(rows))  # often after a comment
+    change = draw(st.sampled_from(["none", "none", "index", "head", "cut"]))
+    if change == "cut":
+        del row[2]
+    elif change != "none":
+        column = 0 if change == "index" else 2
+        row[column] = draw(st.sampled_from(odd_numerals(int(row[column]))))
+    lines = ["\t".join(row) for row in rows]
+    return draw(st.sampled_from([[], ["# sent_id"]])) + lines
 
 
 @st.composite
@@ -735,7 +766,12 @@ def dep_texts(draw) -> str:
     """Dep input that is mostly well formed, with every kind of fault mixed in."""
     parts = []
     for _ in range(draw(st.integers(0, 4))):
-        n = draw(st.integers(1, 5))
+        kind = draw(st.sampled_from(["noisy", "noisy", "canonical", "comments"]))
+        if kind == "canonical":
+            parts += draw(canonical_dep_block())
+        elif kind == "comments":
+            parts += draw(st.lists(st.sampled_from(["# note", "#\t1\tw\t0"]), min_size=1))
+        n = draw(st.integers(1, 5)) if kind == "noisy" else 0
         for i in range(1, n + 1):
             index = draw(st.sampled_from([str(i), str(i), str(i + 1), *DEP_NUMBERS]))
             head = draw(st.sampled_from([*map(str, range(n + 1)), *DEP_NUMBERS]))
@@ -755,9 +791,16 @@ def described(errors: list[Exception]) -> list[tuple[type, str, int | None]]:
     return [(type(e), str(e), getattr(e, "line_no", None)) for e in errors]
 
 
+def empty_numeral_table() -> None:
+    """Clear the reader's numeral table, so the next read grows it from nothing."""
+    treebank._NUMERALS.clear()
+    treebank._VALUES.clear()
+
+
 @settings(max_examples=400, deadline=None)
 @given(dep_texts())
 def test_dep_reader_agrees_with_the_per_line_reference(text):
+    empty_numeral_table()
     got_errors: list[Exception] = []
     want_errors: list[Exception] = []
     got = parse_dep_corpus(text, on_error=got_errors.append)
@@ -784,6 +827,7 @@ def test_dep_reader_agrees_with_the_per_line_reference(text):
         ("1\ta\t0\r\n2\t\t1\r\n", "empty surface", 2),
         ("1\ta\t0\x85# c\x852\tb\n", "field(s)", 3),
         ("# c\n\n1\ta\t1.0\n", "integers", 3),
+        ("1\ta\t0\n\n# c\n1\ta\n", "field(s)", 4),  # a comment heads the block
     ],
 )
 def test_dep_malformed_line_is_found_after_the_bulk_parse(text, error, line_no):
@@ -798,6 +842,30 @@ def test_dep_int_edge_cases_read_as_int_does():
     assert sentence.heads == (2, 0, 2)
     with pytest.raises(HeadOutOfRange, match="unit 1 has head 10"):
         parse_dep_corpus("1\ta\t1_0\n2\tb\t0\n")
+
+
+def test_a_numeral_int_reads_gives_the_same_sentence():
+    # 300 units in a chain: unit i depends on unit i + 1, the last is the root.
+    heads = [*range(2, 301), 0]
+    canonical = treegen.dep_text([DependencySentence.from_heads(heads)])
+    assert "\n6\tw6\t7\n" in canonical
+    odd = canonical.replace("\n6\tw6\t7\n", "\n6\tw6\t007\n")
+    assert parse_dep_corpus(odd) == parse_dep_corpus(canonical)
+    [sentence] = parse_dep_corpus(odd)
+    assert sentence.heads == tuple(heads) and repr(sentence) == repr(parse_dep_corpus(canonical)[0])
+
+
+def test_a_long_block_after_a_short_one_reads_as_it_does_alone():
+    short = DependencySentence.from_heads([0])
+    long = DependencySentence.from_heads([*range(2, 251), 0])
+    empty_numeral_table()
+    together = parse_dep_corpus(treegen.dep_text([short, long]))
+    # The table grew in that call, from 3 numerals to 501.
+    assert len(treebank._NUMERALS) == 501
+    empty_numeral_table()
+    alone = parse_dep_corpus(treegen.dep_text([long]))
+    assert together == [short, long] and alone == [long]
+    assert [repr(s) for s in together] == [repr(short), repr(long)]
 
 
 @settings(max_examples=100, deadline=None)
