@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import errno
 import gc
-import io
 import os
 import re
 import sys
@@ -253,11 +252,11 @@ def run(config: RunConfig) -> int:
 
 
 def _write(stream, text: str) -> None:
-    """Write and flush text; to an unbuffered stream, checking the count of each raw write."""
+    """Write and flush text; to a file's byte stream, checking the count of each write."""
     try:
-        if not isinstance(getattr(stream, "buffer", None), io.RawIOBase):
+        if getattr(stream, "buffer", None) is None:  # a text-only stream, such as io.StringIO
             stream.write(text)
-        else:  # a raw write may take only part of the text, and TextIOWrapper would not notice
+        else:  # an unbuffered write may take only part of the text, which TextIOWrapper ignores
             stream.flush()  # text written before goes out first
             data = memoryview(text.encode(stream.encoding, stream.errors))
             while data:

@@ -457,11 +457,11 @@ def _dep_sentence(heads: tuple[int, ...], surfaces: tuple[str, ...]) -> Dependen
     return sentence
 
 
-def _check_dep_sentence(indices: list[int] | None, heads: tuple[int, ...]) -> None:
-    """Raise the first of: bad indices (None: checked), the first bad head, not one root."""
+def _check_dep_sentence(indices: list[int], heads: tuple[int, ...]) -> None:
+    """Raise the first of: indices not 1..n in order, the first bad head, not one root."""
     n = len(heads)
     positions = range(1, n + 1)
-    if indices is not None and indices != list(positions):
+    if indices != list(positions):
         raise NonContiguousIndices(f"unit indices must be exactly 1..{n} in order, got {indices}")
     if heads and (min(heads) < 0 or max(heads) > n or any(map(eq, heads, positions))):
         index, head = next((i, h) for i, h in zip(positions, heads) if h == i or not 0 <= h <= n)
@@ -486,6 +486,7 @@ def parse_dep_corpus(
     skipped.
     """
     sentences: list[DependencySentence] = []
+    numerals, values = [], {}  # numerals[i] == str(i), values[str(i)] == i: the numeral table
     lines = text.splitlines()
     lines.append("")  # closes the last block at EOF
     start = 0  # the open block's first line, 0-based
@@ -493,7 +494,7 @@ def parse_dep_corpus(
     for end in compress(count(), map(not_, map(str.strip, lines))):
         if end > start:
             try:
-                sentences += _read_block(lines, start, end)
+                sentences += _read_block(lines, start, end, numerals, values)
             except DepFormatError as exc:
                 if on_error is None:
                     raise
@@ -503,16 +504,14 @@ def parse_dep_corpus(
     return sentences
 
 
-# _NUMERALS[i] == str(i), and _VALUES maps each back to i; both grow to twice the longest block.
-_NUMERALS: list[str] = []
-_VALUES: dict[str, int] = {}
-
-
-def _read_block(lines: list[str], start: int, end: int) -> tuple[DependencySentence, ...]:
+def _read_block(
+    lines: list[str], start: int, end: int, numerals: list[str], values: dict[str, int]
+) -> tuple[DependencySentence, ...]:
     """The sentence of lines[start:end], a run of non-blank lines; none if all are comments.
 
-    Indices "1".."n" are matched with the numeral table and heads looked up in it; int()
-    reads any other numeral.  Only a block with a malformed line is walked, to word it.
+    Indices "1".."n" are matched with numerals, grown here to 2n + 1, and heads looked up in
+    values; int() reads any other numeral.  Only a block with a malformed line is walked, to
+    word it.
     """
     block = lines[start:end]
     joined = "\t\n\t".join(block)
@@ -520,18 +519,19 @@ def _read_block(lines: list[str], start: int, end: int) -> tuple[DependencySente
         block = [raw for raw in block if raw[0] != "#"]
         joined = "\t\n\t".join(block)
     n = len(block)
-    if n >= len(_NUMERALS):
-        _NUMERALS[:] = map(str, range(2 * n + 1))
-        _VALUES.update(zip(_NUMERALS, count()))
+    if n >= len(numerals):
+        numerals[:] = map(str, range(2 * n + 1))
+        values.update(zip(numerals, count()))
     fields = joined.split("\t")
     surfaces = tuple(fields[1::4])
     # No line holds a "\n", so a "\n" field is a separator: one at every
     # fourth place, and nowhere else, means every line has exactly two tabs.
     well_formed = len(fields) == 4 * n - 1 and fields[3::4] == ["\n"] * (n - 1) and all(surfaces)
     try:
-        indices = None if fields[0::4] == _NUMERALS[1 : n + 1] else list(map(int, fields[0::4]))
+        canonical = fields[0::4] == numerals[1 : n + 1]  # written "1".."n", as str() writes them
+        indices = list(range(1, n + 1)) if canonical else list(map(int, fields[0::4]))
         try:
-            heads = tuple(map(_VALUES.__getitem__, fields[2::4]))
+            heads = tuple(map(values.__getitem__, fields[2::4]))
         except KeyError:  # a head past the table, or not written as str() writes it
             heads = tuple(map(int, fields[2::4]))
     except ValueError:

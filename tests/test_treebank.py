@@ -9,6 +9,7 @@ import pickle
 import random
 import re
 import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -16,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treegen
-from memload import treebank
 from memload.treebank import (
     _TOKEN_RE,
     ConstituencyTree,
@@ -791,16 +791,9 @@ def described(errors: list[Exception]) -> list[tuple[type, str, int | None]]:
     return [(type(e), str(e), getattr(e, "line_no", None)) for e in errors]
 
 
-def empty_numeral_table() -> None:
-    """Clear the reader's numeral table, so the next read grows it from nothing."""
-    treebank._NUMERALS.clear()
-    treebank._VALUES.clear()
-
-
 @settings(max_examples=400, deadline=None)
 @given(dep_texts())
 def test_dep_reader_agrees_with_the_per_line_reference(text):
-    empty_numeral_table()
     got_errors: list[Exception] = []
     want_errors: list[Exception] = []
     got = parse_dep_corpus(text, on_error=got_errors.append)
@@ -858,14 +851,23 @@ def test_a_numeral_int_reads_gives_the_same_sentence():
 def test_a_long_block_after_a_short_one_reads_as_it_does_alone():
     short = DependencySentence.from_heads([0])
     long = DependencySentence.from_heads([*range(2, 251), 0])
-    empty_numeral_table()
-    together = parse_dep_corpus(treegen.dep_text([short, long]))
-    # The table grew in that call, from 3 numerals to 501.
-    assert len(treebank._NUMERALS) == 501
-    empty_numeral_table()
+    together = parse_dep_corpus(treegen.dep_text([short, long]))  # the numerals grow mid-call
     alone = parse_dep_corpus(treegen.dep_text([long]))
     assert together == [short, long] and alone == [long]
     assert [repr(s) for s in together] == [repr(short), repr(long)]
+
+
+def test_the_reader_keeps_no_memory_after_it_returns():
+    # Its numeral table for a 5,000-unit block, about 1 MB, goes with the call.
+    parse_dep_corpus("1\tw\t0\n")  # whatever the reader loads once, it loads here
+    text = treegen.dep_text([DependencySentence.from_heads([*range(2, 5001), 0])])
+    tracemalloc.start()
+    try:
+        parse_dep_corpus(text)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 50_000
 
 
 @settings(max_examples=100, deadline=None)
