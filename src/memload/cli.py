@@ -221,12 +221,12 @@ def run(config: RunConfig) -> int:
             if "\ufeff" in text:
                 text = _LINE_START_BOM.sub("", text)
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"memload: cannot read input: {exc}", file=sys.stderr)
+            _say(f"cannot read input: {exc}")
             return 1
         try:
             profiles, attempted, skipped = _collect_profiles(text, config)
         except TreebankError as exc:
-            print(f"memload: {exc}", file=sys.stderr)
+            _say(str(exc))
             return 1
         report = render(
             unit_histogram(profiles),
@@ -236,23 +236,28 @@ def run(config: RunConfig) -> int:
             thresholds=config.thresholds,
         )
         try:
-            if sys.stdout is None:  # started with fd 1 closed
-                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             _write(sys.stdout, report)
-        except OSError as exc:  # a full disk, a closed pipe, ...
-            print(f"memload: cannot write output: {exc}", file=sys.stderr)
+        except OSError as exc:  # a closed stdout, a full disk, a closed pipe, ...
+            _say(f"cannot write output: {exc}")
             return 1
-        if skipped and sys.stderr is not None:
-            with contextlib.suppress(OSError):  # the report is out: a closed stderr keeps exit 0
-                _write(sys.stderr, f"memload: skipped {skipped} of {attempted} sentences\n")
+        if skipped:
+            _say(f"skipped {skipped} of {attempted} sentences")
         return 0
     finally:
         if gc_was_enabled:
             gc.enable()
 
 
+def _say(line: str) -> None:
+    """Write one diagnostic line to stderr; one that cannot be written is lost, never raised."""
+    with contextlib.suppress(OSError):
+        _write(sys.stderr, f"memload: {line}\n")
+
+
 def _write(stream, text: str) -> None:
     """Write and flush text; to a file's byte stream, checking the count of each write."""
+    if stream is None:  # the process started with this descriptor closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     try:
         if getattr(stream, "buffer", None) is None:  # a text-only stream, such as io.StringIO
             stream.write(text)
@@ -277,6 +282,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = config_from_args(args)
     except InvalidConfig as exc:
-        print(f"memload: {exc}", file=sys.stderr)
+        _say(str(exc))
         return 2
     return run(config)

@@ -42,8 +42,6 @@ def load_profile(sentence: DependencySentence) -> DepthProfile:
     return DepthProfile(tuple(values))
 
 
-
-
 def ensure_rightward(sentence: DependencySentence) -> None:
     """Raise LeftwardHead unless every non-root head points rightward."""
     offenders = [index for index, head in enumerate(sentence.heads, start=1) if 0 < head < index]

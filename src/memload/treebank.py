@@ -481,7 +481,8 @@ def parse_dep_corpus(
     """Parse blank-line separated blocks of INDEX<TAB>SURFACE<TAB>HEAD lines.
 
     Lines starting with "#" are ignored, and index and head are read as int()
-    reads them.  With the default on_error=None the first malformed sentence
+    reads them: in bulk where a block is written as str() writes it, else line
+    by line.  With the default on_error=None the first malformed sentence
     raises; with a callback each error is reported to it and the sentence
     skipped.
     """
@@ -509,9 +510,8 @@ def _read_block(
 ) -> tuple[DependencySentence, ...]:
     """The sentence of lines[start:end], a run of non-blank lines; none if all are comments.
 
-    Indices "1".."n" are matched with numerals, grown here to 2n + 1, and heads looked up in
-    values; int() reads any other numeral.  Only a block with a malformed line is walked, to
-    word it.
+    A block written as str() writes it is read in bulk: indices matched with numerals (grown
+    here to 2n + 1), heads looked up in values.  Any other is walked line by line with int().
     """
     block = lines[start:end]
     joined = "\t\n\t".join(block)
@@ -526,33 +526,30 @@ def _read_block(
     surfaces = tuple(fields[1::4])
     # No line holds a "\n", so a "\n" field is a separator: one at every
     # fourth place, and nowhere else, means every line has exactly two tabs.
-    well_formed = len(fields) == 4 * n - 1 and fields[3::4] == ["\n"] * (n - 1) and all(surfaces)
-    try:
-        canonical = fields[0::4] == numerals[1 : n + 1]  # written "1".."n", as str() writes them
-        indices = list(range(1, n + 1)) if canonical else list(map(int, fields[0::4]))
+    rows = len(fields) == 4 * n - 1 and fields[3::4] == ["\n"] * (n - 1) and all(surfaces)
+    if rows and fields[0::4] == numerals[1 : n + 1]:  # indices written "1".."n"
         try:
             heads = tuple(map(values.__getitem__, fields[2::4]))
         except KeyError:  # a head past the table, or not written as str() writes it
-            heads = tuple(map(int, fields[2::4]))
-    except ValueError:
-        well_formed = False
-    if not well_formed:  # word the first malformed line's first fault
-        for line_no, raw in enumerate(lines[start:end], start=start + 1):
-            if raw[0] == "#":
-                continue
-            fields = raw.split("\t")
-            if len(fields) != 3:
-                message = f"expected INDEX<TAB>SURFACE<TAB>HEAD, got {len(fields)} field(s)"
-                raise MalformedLine(message, line_no)
-            try:
-                int(fields[0]), int(fields[2])
-                integers = True
-            except ValueError:
-                integers = False
-            if not integers:  # raised outside the handler, so no __context__ keeps its frame
-                raise MalformedLine("index and head must be integers", line_no)
-            if not fields[1]:
-                raise MalformedLine("empty surface field", line_no)
-        return ()  # no line was malformed, so the block held only comments
-    _check_dep_sentence(indices, heads)
-    return (_dep_sentence(heads, surfaces),)
+            pass
+        else:
+            _check_dep_sentence(list(range(1, n + 1)), heads)
+            return (_dep_sentence(heads, surfaces),)
+    units = []  # the walk runs outside every handler, so no error it raises has a __context__
+    for line_no, raw in enumerate(lines[start:end], start=start + 1):
+        if raw[0] == "#":
+            continue
+        fields = raw.split("\t")
+        if len(fields) != 3:
+            message = f"expected INDEX<TAB>SURFACE<TAB>HEAD, got {len(fields)} field(s)"
+            raise MalformedLine(message, line_no)
+        try:
+            index, head = int(fields[0]), int(fields[2])
+        except ValueError:
+            index = None
+        if index is None:
+            raise MalformedLine("index and head must be integers", line_no)
+        if not fields[1]:
+            raise MalformedLine("empty surface field", line_no)
+        units.append(DependencyUnit(index, fields[1], head))
+    return (DependencySentence(tuple(units)),) if units else ()

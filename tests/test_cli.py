@@ -562,13 +562,27 @@ def test_pipe_closed_in_the_middle_of_the_report_exits_one(unbuffered):
     assert_one_output_error(child.wait(timeout=60), stderr, errno.EPIPE)
 
 
+# Closed, fd 2 leaves sys.stderr None; read-only, each write fails with EBADF; full, ENOSPC.
+UNWRITABLE_STDERR = pytest.mark.parametrize(
+    "redirect",
+    [
+        "2>&-",
+        "2</dev/null",
+        pytest.param(
+            "2>/dev/full",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here"),
+        ),
+    ],
+    ids=["closed", "read-only", "full"],
+)
+
+
 @BUFFERING
-@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@UNWRITABLE_STDERR
 def test_unwritable_stderr_keeps_the_report_and_exit_zero(tmp_path, unbuffered, redirect):
     corpus = tmp_path / "one_bad.ptb"
     corpus.write_text("(S (N a))\n(X)\n", encoding="utf-8")
     argv = ["--input", str(corpus), "--format", "ptb", "--method", "yngve-word", "--output", "csv"]
-    # Closed, fd 2 leaves sys.stderr None; read-only, each write fails with EBADF.
     result = subprocess.run(
         ["sh", "-c", f'exec "$@" {redirect}', "sh", *MEMLOAD, *argv],
         stdout=subprocess.PIPE,
@@ -581,6 +595,35 @@ def test_unwritable_stderr_keeps_the_report_and_exit_zero(tmp_path, unbuffered, 
     assert err.getvalue() == "memload: skipped 1 of 2 sentences\n"
     assert result.returncode == 0
     assert result.stdout == report.getvalue()  # the whole report, and no skip line
+
+
+@BUFFERING
+@UNWRITABLE_STDERR
+@pytest.mark.parametrize(
+    "case, code", [("config", 2), ("input", 1), ("strict", 1)], ids=["config", "input", "strict"]
+)
+def test_unwritable_stderr_loses_the_diagnostic_but_not_the_exit_code(
+    tmp_path, unbuffered, redirect, case, code
+):
+    corpus = tmp_path / "self_head.dep"
+    corpus.write_text("1\ta\t1\n", encoding="utf-8")
+    argv = {
+        "config": ["--input", DEP_FIXTURE, "--format", "dep", "--method", "yngve-word"],
+        "input": ["--input", str(tmp_path / "missing.dep"), "--format", "dep", "--method", "dep-load"],
+        "strict": ["--input", str(corpus), "--format", "dep", "--method", "dep-load", "--strict"],
+    }[case]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == code
+    assert out.getvalue() == "" and err.getvalue().count("\n") == 1  # one diagnostic line
+    result = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", *MEMLOAD, *argv],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=child_env(unbuffered),
+    )
+    assert result.returncode == code
+    assert result.stdout == ""  # the line is lost, not moved to stdout
 
 
 SOUP = st.lists(

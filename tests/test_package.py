@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import os
 import pickle
@@ -81,6 +82,18 @@ def test_source_stays_under_the_line_ceiling():
     # ROADMAP.md's standing rule: deletions are welcome, growth past this is not.
     source = Path(memload.__file__).parent
     assert sum(path.read_bytes().count(b"\n") for path in source.rglob("*.py")) <= 1245
+
+
+def test_no_module_calls_print():
+    # Every stderr line goes out through cli._say and cli._write, and nothing else.
+    source = Path(memload.__file__).parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(source.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+    ]
+    assert calls == []
 
 
 def test_modules_are_pinned():

@@ -837,6 +837,26 @@ def test_dep_int_edge_cases_read_as_int_does():
         parse_dep_corpus("1\ta\t1_0\n2\tb\t0\n")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("1\ta\t-1\n2\tb\t0\n", HeadOutOfRange),  # fails the head lookup with a KeyError
+        ("1\ta\t1_0\n2\tb\t0\n", HeadOutOfRange),
+        ("01\ta\t0\n2\tb\n", MalformedLine),  # an odd numeral, then a line cut short
+    ],
+    ids=["head-minus-one", "head-1_0", "odd-numeral-then-cut-line"],
+)
+def test_per_line_errors_carry_no_exception_context(text, error):
+    # A __context__ would hold a traceback, and with it the reader's frame and lines.
+    with pytest.raises(error) as raised:
+        parse_dep_corpus(text)
+    handed: list[Exception] = []
+    parse_dep_corpus(text, on_error=handed.append)
+    assert [type(exc) for exc in handed] == [error]
+    for exc in (raised.value, *handed):
+        assert exc.__context__ is None and exc.__cause__ is None
+
+
 def test_a_numeral_int_reads_gives_the_same_sentence():
     # 300 units in a chain: unit i depends on unit i + 1, the last is the root.
     heads = [*range(2, 301), 0]
