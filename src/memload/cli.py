@@ -5,7 +5,7 @@ the chosen load metric for every sentence, and writes the unit and sentence
 frequency tables to stdout.  Bad sentences are skipped and counted on
 stderr unless --strict is given.  Exit codes: 0 success, 1 unreadable input,
 unwritable output or a sentence error under --strict, 2 invalid option
-combination.
+combination, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import contextlib
 import errno
 import gc
 import os
-import re
 import sys
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -53,12 +52,21 @@ METHODS = {
 }
 # In the order --help has always listed them: ptb first.
 FORMATS = tuple(dict.fromkeys(m.format for m in reversed(METHODS.values())))
-# A byte-order mark at the file's start or, as `cat` leaves one, after a str.splitlines break.
-_LINE_START_BOM = re.compile("(?<![^\n\r\v\f\x1c-\x1e\x85\u2028\u2029])\ufeff")
 
 
 class InvalidConfig(ValueError):
     """Mutually incompatible command-line options."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Writes --help as the report is written: a failed write exits 1 with one line."""
+
+    def print_help(self, file=None) -> None:
+        try:
+            _write(file or sys.stdout, self.format_help())
+        except OSError as exc:
+            _say(f"cannot write output: {exc}")
+            self.exit(1)
 
 
 class RunConfig(NamedTuple):
@@ -76,7 +84,7 @@ class RunConfig(NamedTuple):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="memload",
         description=(
             "Frequency tables of short-term memory load over a treebank: "
@@ -218,8 +226,8 @@ def run(config: RunConfig) -> int:
     try:
         try:
             text = Path(config.input_path).read_text(encoding="utf-8")
-            if "\ufeff" in text:
-                text = _LINE_START_BOM.sub("", text)
+            if "\ufeff" in text:  # a mark at the start of any line, as `cat` of marked files leaves
+                text = "".join(line.removeprefix("\ufeff") for line in text.splitlines(keepends=True))
         except (OSError, UnicodeDecodeError) as exc:
             _say(f"cannot read input: {exc}")
             return 1
@@ -278,10 +286,13 @@ def _write(stream, text: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except InvalidConfig as exc:
-        _say(str(exc))
-        return 2
-    return run(config)
+        args = build_parser().parse_args(argv)
+        try:
+            config = config_from_args(args)
+        except InvalidConfig as exc:
+            _say(str(exc))
+            return 2
+        return run(config)
+    except KeyboardInterrupt:  # Ctrl-C: the shell's 128 + SIGINT, without a traceback
+        return 130

@@ -14,27 +14,16 @@ from __future__ import annotations
 
 from enum import Enum
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .stats import DepthProfile
 from .treebank import ConstituencyTree
 
-__all__ = [
-    "COORDINATOR_LABELS",
-    "NumberingScheme",
-    "MetricConfig",
-    "branch_numbers",
-    "coordination_adjusted_numbers",
-    "word_depths",
-    "np_depths",
-]
+__all__ = ["COORDINATOR_LABELS", "NumberingScheme", "MetricConfig", "word_depths", "np_depths"]
 
 COORDINATOR_LABELS = frozenset({"CC", "CONJP"})
+_GROUP_GLUE = COORDINATOR_LABELS | {","}  # children that join the conjunct group after them
 _label = attrgetter("label")
-
-# Children that attach to the conjunct group after them: the coordinators
-# themselves and the commas that separate conjuncts.
-_GROUP_GLUE = COORDINATOR_LABELS | {","}
 
 
 class NumberingScheme(Enum):
@@ -45,6 +34,13 @@ class NumberingScheme(Enum):
 class MetricConfig(NamedTuple):
     """How to number branches, and which NP nodes np_depths measures.
 
+    With coordination_adjust, a node coordinates when a CC or CONJP child
+    follows its first child.  Its children then split into conjunct groups,
+    each ending at a real child: a coordinator or comma joins the group
+    after it, and a trailing one joins the last group.  Each child is
+    charged the number of groups strictly to its right, capped at 1 under
+    sampson.
+
     The unit is chosen by the function called: word_depths measures every
     leaf, np_depths every NP node, or with maximal_np only those without an
     NP ancestor.
@@ -53,49 +49,6 @@ class MetricConfig(NamedTuple):
     scheme: NumberingScheme
     coordination_adjust: bool = True
     maximal_np: bool = False
-
-
-def branch_numbers(n_children: int, scheme: NumberingScheme) -> list[int]:
-    """Numbers charged to the children of one node, left to right.
-
-    Child k of n (1-based) gets n - k under yngve and min(n - k, 1) under
-    sampson; the last child always gets 0.
-    """
-    if n_children < 1:
-        raise ValueError("a node has at least one child")
-    if scheme is NumberingScheme.YNGVE:
-        return list(range(n_children - 1, -1, -1))
-    return [1] * (n_children - 1) + [0]
-
-
-def coordination_adjusted_numbers(
-    child_labels: Sequence[str], scheme: NumberingScheme
-) -> list[int]:
-    """Branch numbers where each conjunct group counts as one pending item.
-
-    A node coordinates when a CC or CONJP child appears after the first
-    position.  Its children then split into conjunct groups, a coordinator
-    or comma belonging with the conjunct that follows it (trailing ones with
-    the last group), and every child is charged the number of groups
-    strictly to its right, capped at 1 for sampson.  Nodes without
-    coordination fall through to branch_numbers, so leaf children (empty
-    label) and ordinary phrases are unaffected.
-    """
-    labels = list(child_labels)
-    if not any(label in COORDINATOR_LABELS for label in labels[1:]):
-        return branch_numbers(len(labels), scheme)
-    cap = 1 if scheme is NumberingScheme.SAMPSON else len(labels)
-    numbers = []
-    groups_right = 0  # real children to the right so far, one per group
-    for label in reversed(labels):
-        if label in _GROUP_GLUE:
-            # Glue belongs to the group of the real child after it, which
-            # groups_right already counts; trailing glue to the last group.
-            numbers.append(min(groups_right - 1 if groups_right else 0, cap))
-        else:
-            numbers.append(min(groups_right, cap))
-            groups_right += 1
-    return numbers[::-1]
 
 
 def _walk_depths(tree: ConstituencyTree, config: MetricConfig, measure_nps: bool) -> DepthProfile:
@@ -121,9 +74,17 @@ def _walk_depths(tree: ConstituencyTree, config: MetricConfig, measure_nps: bool
         inside_np = inside_np or is_np
         # Pushed right to left, so the leftmost child is visited next.
         if adjust and not COORDINATOR_LABELS.isdisjoint(map(_label, children[1:])):
-            numbers = coordination_adjusted_numbers(list(map(_label, children)), config.scheme)
-            for child, number in zip(reversed(children), reversed(numbers)):
-                stack.append((child, depth + number, inside_np))
+            # Coordinated (see MetricConfig): groups counts the real children
+            # to the right, one per group.  Glue is in the group after it,
+            # which groups already counts, or, trailing, in the last group.
+            groups = 0
+            for child in reversed(children):
+                if child.label in _GROUP_GLUE:
+                    number = groups - 1 if groups else 0
+                else:
+                    number = groups
+                    groups += 1
+                stack.append((child, depth + (number if yngve else min(number, 1)), inside_np))
             continue
         # Uncoordinated: the last child gets 0; each one left of it one more
         # under yngve, 1 under sampson.

@@ -179,6 +179,13 @@ def test_help_names_the_default_thresholds(capsys):
     assert "report counts above these values (default: 5,7,9)" in help_text
 
 
+def test_help_is_argparse_text_on_stdout(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr() == (cli.build_parser().format_help(), "")
+
+
 def test_unknown_method_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["--input", DEP_FIXTURE, "--format", "dep", "--method", "nope"])
@@ -250,6 +257,38 @@ def test_byte_order_mark_inside_a_line_stays_text(tmp_path, capsys):
     )
     assert code == 0 and err == ""
     assert json.loads(out)["total_units"] == 2
+
+
+# Every line break str.splitlines knows, and three whitespace characters it does not split at.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+NOT_LINE_BREAKS = ["\x1f", "\t", "\xa0"]
+
+
+def words_around_a_mark(tmp_path, capsys, before: str) -> int:
+    """Words measured in one tree whose second child follows `before` and a byte-order mark."""
+    corpus = tmp_path / "marked.ptb"
+    corpus.write_bytes(f"(S (N a){before}\ufeff(N b))\n".encode())
+    code, out, err = run_cli(
+        capsys,
+        "--input", str(corpus), "--format", "ptb", "--method", "yngve-word",
+        "--output", "json",
+    )
+    assert code == 0 and err == ""
+    return json.loads(out)["total_units"]
+
+
+def escaped(text: str) -> str:
+    return text.encode("unicode_escape").decode()
+
+
+@pytest.mark.parametrize("before", LINE_BREAKS, ids=escaped)
+def test_byte_order_mark_after_any_line_break_is_dropped(tmp_path, capsys, before):
+    assert words_around_a_mark(tmp_path, capsys, before) == 2
+
+
+@pytest.mark.parametrize("before", NOT_LINE_BREAKS, ids=escaped)
+def test_byte_order_mark_after_other_whitespace_stays_text(tmp_path, capsys, before):
+    assert words_around_a_mark(tmp_path, capsys, before) == 3  # the mark is read as a word
 
 
 def test_bad_sentences_skipped_and_counted(tmp_path, capsys):
@@ -327,6 +366,18 @@ def test_gc_is_paused_while_sentences_are_measured(monkeypatch, capsys, enabled)
             run(RunConfig(Path(PTB_FIXTURE), "yngve-word"))
         assert gc.isenabled() is enabled
     assert seen == [False]
+
+
+def test_ctrl_c_exits_130_without_a_word(monkeypatch, capsys):
+    def interrupted(text, on_error=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "parse_ptb_corpus", interrupted)
+    for enabled in (True, False):
+        with gc_state(enabled):
+            assert main(["--input", PTB_FIXTURE, "--format", "ptb", "--method", "yngve-word"]) == 130
+            assert gc.isenabled() is enabled
+        assert capsys.readouterr() == ("", "")
 
 
 # One sentence of each kind the CLI skips, then one it measures.
@@ -560,6 +611,29 @@ def test_pipe_closed_in_the_middle_of_the_report_exits_one(unbuffered):
     stderr = child.stderr.read().decode()
     child.stderr.close()
     assert_one_output_error(child.wait(timeout=60), stderr, errno.EPIPE)
+
+
+@BUFFERING
+@pytest.mark.parametrize(
+    "redirect, code",
+    [
+        (">&-", errno.EBADF),
+        pytest.param(
+            ">/dev/full",
+            errno.ENOSPC,
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here"),
+        ),
+    ],
+    ids=["closed", "full"],
+)
+def test_help_on_unwritable_stdout_exits_one(unbuffered, redirect, code):
+    result = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", *MEMLOAD, "--help"],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(unbuffered),
+    )
+    assert_one_output_error(result.returncode, result.stderr, code)
 
 
 # Closed, fd 2 leaves sys.stderr None; read-only, each write fails with EBADF; full, ENOSPC.

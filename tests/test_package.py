@@ -54,8 +54,6 @@ PUBLIC_NAMES = {
     "TreebankError",
     "UnbalancedBrackets",
     "UnsupportedFormat",
-    "branch_numbers",
-    "coordination_adjusted_numbers",
     "ensure_rightward",
     "load_profile",
     "normalize_label",

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
-
-import pytest
 
 import treegen
 from oracles import grouped_stack_oracle_depths, stack_oracle_depths
@@ -13,17 +12,15 @@ from memload.stackdepth import (
     COORDINATOR_LABELS,
     MetricConfig,
     NumberingScheme,
-    branch_numbers,
-    coordination_adjusted_numbers,
     np_depths,
     word_depths,
 )
-from memload.treebank import parse_ptb_corpus
+from memload.treebank import ConstituencyTree, parse_ptb_corpus
 
 YNGVE = NumberingScheme.YNGVE
 SAMPSON = NumberingScheme.SAMPSON
 
-# Children that join the conjunct group after them, as the docstring says.
+# Children that join the conjunct group after them, as MetricConfig's docstring says.
 GLUE = COORDINATOR_LABELS | {","}
 
 EXAMPLE = "(S (NP (DT The) (N boy)) (VP (V has) (NP (DT a) (J small) (N doll))))"
@@ -38,19 +35,35 @@ def config(scheme, adjust=False, **kwargs) -> MetricConfig:
     return MetricConfig(scheme=scheme, coordination_adjust=adjust, **kwargs)
 
 
+@functools.cache
+def one_word(label: str) -> ConstituencyTree:
+    """A word for the empty label, else a phrase over one word."""
+    word = ConstituencyTree.word("w")
+    return ConstituencyTree.phrase(label, [word]) if label else word
+
+
+def numbers(labels, scheme, adjust=True) -> list[int]:
+    """The branch numbers one node charges children with these labels.
+
+    Each child holds exactly one word, so the words' depths are the numbers.
+    """
+    tree = ConstituencyTree.phrase("X", list(map(one_word, labels)))
+    return list(word_depths(tree, config(scheme, adjust)).values)
+
+
 def test_branch_numbers_two_children():
-    assert branch_numbers(2, YNGVE) == [1, 0]
-    assert branch_numbers(2, SAMPSON) == [1, 0]
+    assert numbers(["A", "B"], YNGVE, adjust=False) == [1, 0]
+    assert numbers(["A", "B"], SAMPSON, adjust=False) == [1, 0]
 
 
 def test_branch_numbers_single_child():
-    assert branch_numbers(1, YNGVE) == [0]
-    assert branch_numbers(1, SAMPSON) == [0]
+    assert numbers(["A"], YNGVE, adjust=False) == [0]
+    assert numbers([""], SAMPSON, adjust=False) == [0]
 
 
 def test_branch_numbers_four_children():
-    assert branch_numbers(4, YNGVE) == [3, 2, 1, 0]
-    assert branch_numbers(4, SAMPSON) == [1, 1, 1, 0]
+    assert numbers(["A", "", "C", "D"], YNGVE, adjust=False) == [3, 2, 1, 0]
+    assert numbers(["A", "", "C", "D"], SAMPSON, adjust=False) == [1, 1, 1, 0]
 
 
 def test_branch_numbers_match_the_stack_machines():
@@ -61,49 +74,46 @@ def test_branch_numbers_match_the_stack_machines():
     assert grouped_stack_oracle_depths(tree).values == (1, 1, 1, 0)
 
 
-def test_branch_numbers_rejects_zero_children():
-    with pytest.raises(ValueError):
-        branch_numbers(0, YNGVE)
-
-
 def test_coordination_comma_and_cc_grouping():
     labels = ["NP", ",", "NP", "CC", "NP"]
-    assert coordination_adjusted_numbers(labels, YNGVE) == [2, 1, 1, 0, 0]
+    assert numbers(labels, YNGVE) == [2, 1, 1, 0, 0]
 
 
 def test_coordination_passthrough_without_coordinator():
-    assert coordination_adjusted_numbers(["DT", "N"], YNGVE) == [1, 0]
-    assert coordination_adjusted_numbers(["DT", "J", "N"], SAMPSON) == [1, 1, 0]
+    assert numbers(["DT", "N"], YNGVE) == [1, 0]
+    assert numbers(["DT", "J", "N"], SAMPSON) == [1, 1, 0]
 
 
 def test_coordination_sampson_caps_at_one():
-    assert coordination_adjusted_numbers(["NP", "CC", "NP"], SAMPSON) == [1, 0, 0]
+    assert numbers(["NP", "CC", "NP"], SAMPSON) == [1, 0, 0]
     labels = ["NP", ",", "NP", ",", "NP", "CC", "NP"]
-    assert coordination_adjusted_numbers(labels, SAMPSON) == [1, 1, 1, 1, 1, 0, 0]
-    assert coordination_adjusted_numbers(labels, YNGVE) == [3, 2, 2, 1, 1, 0, 0]
+    assert numbers(labels, SAMPSON) == [1, 1, 1, 1, 1, 0, 0]
+    assert numbers(labels, YNGVE) == [3, 2, 2, 1, 1, 0, 0]
 
 
 def test_initial_coordinator_is_not_coordination():
     # "CC" in first position marks no conjunct split; plain numbering applies.
-    assert coordination_adjusted_numbers(["CC", "NP"], YNGVE) == [1, 0]
+    assert numbers(["CC", "NP"], YNGVE) == [1, 0]
 
 
 def test_conjp_triggers_coordination():
-    assert coordination_adjusted_numbers(["VP", "CONJP", "VP"], YNGVE) == [1, 0, 0]
+    assert numbers(["VP", "CONJP", "VP"], YNGVE) == [1, 0, 0]
 
 
 def test_trailing_coordinator_joins_last_group():
-    assert coordination_adjusted_numbers(["NP", "CC", "NP", "CC"], YNGVE) == [1, 0, 0, 0]
+    assert numbers(["NP", "CC", "NP", "CC"], YNGVE) == [1, 0, 0, 0]
 
 
 def conjunct_rule(labels, scheme):
-    """The docstring's rule stated directly: form the groups, then count.
+    """MetricConfig's rule stated directly: form the groups, then count.
 
     Each group runs up to and including a real child; glue after the last
-    real child joins the last group.
+    real child joins the last group.  Without coordination every child is
+    its own group: child k of n gets n - k, capped at 1 under sampson.
     """
     if not any(label in COORDINATOR_LABELS for label in labels[1:]):
-        return branch_numbers(len(labels), scheme)
+        right = range(len(labels) - 1, -1, -1)
+        return [min(r, 1) if scheme is SAMPSON else r for r in right]
     groups = [[]]
     for label in labels:
         groups[-1].append(label)
@@ -127,7 +137,7 @@ def test_coordination_matches_the_rule_exhaustively():
         for labels in itertools.product(alphabet, repeat=length):
             for scheme in (YNGVE, SAMPSON):
                 expected = conjunct_rule(labels, scheme)
-                assert coordination_adjusted_numbers(labels, scheme) == expected, labels
+                assert numbers(labels, scheme) == expected, labels
 
 
 def test_adjustment_never_raises_a_number():
@@ -136,8 +146,8 @@ def test_adjustment_never_raises_a_number():
     for _ in range(500):
         labels = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
         for scheme in (YNGVE, SAMPSON):
-            plain = branch_numbers(len(labels), scheme)
-            adjusted = coordination_adjusted_numbers(labels, scheme)
+            plain = numbers(labels, scheme, adjust=False)
+            adjusted = numbers(labels, scheme)
             assert all(a <= p for a, p in zip(adjusted, plain)), labels
 
 
