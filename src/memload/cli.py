@@ -296,3 +296,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return run(config)
     except KeyboardInterrupt:  # Ctrl-C: the shell's 128 + SIGINT, without a traceback
         return 130
+    except MemoryError:  # said after the handler, whose traceback keeps the text alive
+        pass
+    _say("out of memory")
+    return 1

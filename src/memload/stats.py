@@ -34,7 +34,8 @@ class DepthProfile(_Record):
 
     __slots__ = ("values",)
 
-    def __init__(self, values: tuple[int, ...]) -> None:
+    def __init__(self, values: Iterable[int]) -> None:
+        values = tuple(values)
         if values and min(values) < 0:
             raise ValueError("load values cannot be negative")
         object.__setattr__(self, "values", values)

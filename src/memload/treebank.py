@@ -13,7 +13,7 @@ import re
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, count
 from operator import eq, is_, not_
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "TreebankError",
@@ -143,7 +143,8 @@ class ConstituencyTree(_Record):
 
     __slots__ = ("label", "children", "surface")
 
-    def __init__(self, label: str = "", children: tuple = (), surface: str = "") -> None:
+    def __init__(self, label: str = "", children: Sequence = (), surface: str = "") -> None:
+        children = tuple(children)
         if children:
             if not label:
                 raise ValueError("internal node requires a label")
@@ -157,7 +158,7 @@ class ConstituencyTree(_Record):
 
     @classmethod
     def phrase(cls, label: str, children: Sequence[ConstituencyTree]) -> ConstituencyTree:
-        return cls(label=label, children=tuple(children))
+        return cls(label=label, children=children)
 
     @classmethod
     def word(cls, surface: str) -> ConstituencyTree:
@@ -168,13 +169,11 @@ class ConstituencyTree(_Record):
         return not self.children
 
     def leaves(self) -> Iterator[ConstituencyTree]:
-        return (node for node in self._nodes() if not node.children)
-
-    def _nodes(self) -> Iterator[ConstituencyTree]:
         stack = [self]
         while stack:
             node = stack.pop()
-            yield node
+            if not node.children:
+                yield node
             stack.extend(reversed(node.children))
 
     def to_bracketed(self) -> str:
@@ -201,27 +200,15 @@ class ConstituencyTree(_Record):
                 stack += (sep, child) if k else (child,)
         return "".join(parts)
 
-    # ==, hash() and repr() give what the dataclass would generate, but walk
-    # the tree in loops: the generated ones recurse once per level.
+    # == and hash() go through repr(), which states a tree exactly, and in a loop.
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # A preorder run of child counts ends exactly where its tree does, so no
-        # run is a proper prefix of another: map may stop at the shorter one.
-        a, b = (
-            ((node.__class__, node.label, node.surface, len(node.children)) for node in t._nodes())
-            for t in (self, other)
-        )
-        return all(map(eq, a, b))
+        return repr(self) == repr(other)
 
     def __hash__(self) -> int:
-        # Reversed preorder meets a node after its children; their hashes top the stack.
-        hashes: list[_Hashed] = []
-        for node in reversed(list(self._nodes())):
-            children = tuple([hashes.pop() for _ in node.children])
-            hashes.append(_Hashed(hash((node.label, children, node.surface))))
-        return int(hashes[0])
+        return hash(repr(self))
 
     def __repr__(self) -> str:
         return self._write(
@@ -229,13 +216,6 @@ class ConstituencyTree(_Record):
             ", ",
             lambda node: f"{',' if len(node.children) == 1 else ''}), surface={node.surface!r})",
         )
-
-
-class _Hashed(int):
-    """Stands in for a subtree inside a tuple: hashes to the subtree's hash."""
-
-    def __hash__(self) -> int:
-        return int(self)  # hash() keeps a returned int that fits a machine word
 
 
 _set_label = ConstituencyTree.label.__set__
@@ -418,9 +398,14 @@ class DependencySentence(_Record):
     __slots__ = ("heads", "surfaces", "_units")
     __match_args__ = ("units",)
 
-    def __init__(self, units: tuple[DependencyUnit, ...]) -> None:
+    def __init__(self, units: Iterable[DependencyUnit]) -> None:
+        units = tuple(units)
+        n, indices = len(units), [unit.index for unit in units]
+        if indices != list(range(1, n + 1)):
+            message = f"unit indices must be exactly 1..{n} in order, got {indices}"
+            raise NonContiguousIndices(message)
         heads = tuple([unit.head for unit in units])
-        _check_dep_sentence([unit.index for unit in units], heads)
+        _check_dep_sentence(heads)
         _set_heads(self, heads)
         _set_surfaces(self, tuple([unit.surface for unit in units]))
         _set_units(self, units)
@@ -440,7 +425,7 @@ class DependencySentence(_Record):
     ) -> DependencySentence:
         if surfaces is None:
             surfaces = [f"w{i}" for i in range(1, len(heads) + 1)]
-        return cls(tuple(map(DependencyUnit, count(1), surfaces, heads)))
+        return cls(map(DependencyUnit, count(1), surfaces, heads))
 
 
 _set_heads = DependencySentence.heads.__set__
@@ -457,12 +442,10 @@ def _dep_sentence(heads: tuple[int, ...], surfaces: tuple[str, ...]) -> Dependen
     return sentence
 
 
-def _check_dep_sentence(indices: list[int], heads: tuple[int, ...]) -> None:
-    """Raise the first of: indices not 1..n in order, the first bad head, not one root."""
+def _check_dep_sentence(heads: tuple[int, ...]) -> None:
+    """Raise on the first bad head, else on a root count other than one."""
     n = len(heads)
     positions = range(1, n + 1)
-    if indices != list(positions):
-        raise NonContiguousIndices(f"unit indices must be exactly 1..{n} in order, got {indices}")
     if heads and (min(heads) < 0 or max(heads) > n or any(map(eq, heads, positions))):
         index, head = next((i, h) for i, h in zip(positions, heads) if h == i or not 0 <= h <= n)
         if head == index:
@@ -533,7 +516,7 @@ def _read_block(
         except KeyError:  # a head past the table, or not written as str() writes it
             pass
         else:
-            _check_dep_sentence(list(range(1, n + 1)), heads)
+            _check_dep_sentence(heads)
             return (_dep_sentence(heads, surfaces),)
     units = []  # the walk runs outside every handler, so no error it raises has a __context__
     for line_no, raw in enumerate(lines[start:end], start=start + 1):

@@ -547,6 +547,35 @@ def test_module_invocation():
     assert result.stdout.startswith("value,units,sentences\n0,1,0\n")
 
 
+@pytest.mark.parametrize(
+    "fmt, method, sentence, copies",
+    [
+        ("dep", "dep-load", "1\tw\t0\n\n", 2_000_000),
+        ("ptb", "yngve-word", "(S (N a))\n", 1_000_000),
+    ],
+    ids=["dep", "ptb"],
+)
+def test_out_of_memory_ends_in_one_line(tmp_path, fmt, method, sentence, copies):
+    resource = pytest.importorskip("resource")
+    cap = 120 << 20  # bytes of address space, set in the child only
+
+    def limit() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    corpus = tmp_path / f"corpus.{fmt}"
+    # The same cap runs one sentence, so what fails the large file is its size.
+    for count, code, err in ((copies, 1, "memload: out of memory\n"), (1, 0, "")):
+        corpus.write_text(sentence * count, encoding="utf-8")
+        result = subprocess.run(
+            [*MEMLOAD, "--input", str(corpus), "--format", fmt, "--method", method],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            preexec_fn=limit,
+        )
+        assert (result.returncode, result.stderr) == (code, err)
+
+
 def assert_one_output_error(returncode: int, stderr: str, code: int) -> None:
     assert returncode == 1
     assert stderr == f"memload: cannot write output: [Errno {code}] {os.strerror(code)}\n"

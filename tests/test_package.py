@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import ast
 import copy
+import io
 import os
 import pickle
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -99,6 +103,21 @@ def test_modules_are_pinned():
     assert modules == {"__main__", "cli", "depload", "stackdepth", "stats", "treebank"}
 
 
+def test_public_constructors_store_tuples():
+    w, v = ConstituencyTree.word("w"), ConstituencyTree.word("v")
+    units, children, values = [DependencyUnit(1, "a", 0)], [w], [1, 0]
+    sentence = DependencySentence(units)
+    tree = ConstituencyTree(label="X", children=children)
+    profile = DepthProfile(values)
+    units.append(DependencyUnit(2, "b", 1))
+    children.append(v)
+    values.append(2)
+    assert sentence.units == (DependencyUnit(1, "a", 0),) and len(sentence) == 1
+    assert tree.children == (w,) and profile.values == (1, 0)
+    assert hash(sentence) == hash(DependencySentence.from_heads([0], ["a"]))
+    assert hash(profile) == hash(DepthProfile((1, 0)))
+
+
 RECORDS = [
     (ConstituencyTree.word("w"), "surface"),
     (ConstituencyTree.phrase("S", [ConstituencyTree.word("w")]), "children"),
@@ -131,18 +150,19 @@ def test_records_survive_pickle_and_copy(record):
         assert type(clone) is type(record) and clone == record
 
 
+def child_env() -> dict[str, str]:
+    """Environment for a fresh interpreter that imports the same memload as this process."""
+    package_root = str(Path(memload.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
 def modules_after_cli_import(names: set[str]) -> str:
     """Which of names sys.modules holds after `import memload.cli`, printed as a list."""
     # A fresh interpreter, so nothing imported by this test run counts.
-    package_root = str(Path(memload.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     code = f"import memload.cli, sys; print(sorted({names!r} & set(sys.modules)))"
     result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        check=True,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True
     )
     return result.stdout
 
@@ -154,3 +174,47 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 def test_cli_import_leaves_out_json():
     # Only json output needs the module; render imports it then.
     assert modules_after_cli_import({"json"}) == "[]\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(language: str) -> list[str]:
+    text = README.read_text(encoding="utf-8")
+    return re.findall(rf"^```{language}\n(.*?)^```$", text, re.MULTILINE | re.DOTALL)
+
+
+def test_readme_commands_print_what_readme_shows():
+    examples = [block for block in readme_blocks("sh") if block.startswith("$ memload ")]
+    assert len(examples) == 2
+    for block in examples:
+        command, shown = block.split("\n", 1)
+        result = subprocess.run(
+            [sys.executable, "-m", "memload", *shlex.split(command)[2:]],
+            capture_output=True,
+            text=True,
+            cwd=README.parent,
+            env=child_env(),
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, shown, "")
+
+
+def test_readme_library_example_gives_its_commented_values():
+    [block] = readme_blocks("python")
+    comments = {
+        token.start[0]: token.string.lstrip("#")
+        for token in tokenize.generate_tokens(io.StringIO(block).readline)
+        if token.type == tokenize.COMMENT
+    }
+    namespace: dict = {}
+    checked = 0
+    for statement in ast.parse(block).body:
+        try:
+            expected = ast.literal_eval(comments.get(statement.end_lineno, "").strip())
+        except (ValueError, SyntaxError):  # no comment, or one in words
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+        assert value == expected
+        checked += 1
+    assert checked == 3

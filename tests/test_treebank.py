@@ -282,7 +282,7 @@ def test_eq_hash_repr_match_the_dataclass_ones():
             assert (tree != b) == (mirror(tree) != mirror(b))
         assert tree == copy and tree != near and tree != longer != tree
         assert tree != tree.children[0] != tree
-        assert hash(tree) == hash(mirror(tree)) == hash(copy)
+        assert hash(tree) == hash(repr(tree)) == hash(copy)
         assert repr(tree) == repr(mirror(tree)).replace("TreeMirror(", "ConstituencyTree(")
     assert ConstituencyTree.word("w").__eq__("w") is NotImplemented
 
