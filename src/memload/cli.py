@@ -16,14 +16,13 @@ import errno
 import gc
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .depload import LeftwardHead, ensure_rightward, load_profile
 from .stackdepth import MetricConfig, NumberingScheme, np_depths, word_depths
-from .stats import (
-    DEFAULT_THRESHOLDS, OUTPUT_FORMATS, DepthProfile, render, sentence_histogram, unit_histogram
-)
+from .stats import DEFAULT_THRESHOLDS, OUTPUT_FORMATS, Histogram, render
 from .treebank import (
     EmptyAfterNormalization,
     TreebankError,
@@ -180,10 +179,8 @@ def _parse_thresholds(text: str) -> tuple[int, ...]:
     raise InvalidConfig(f"--thresholds wants comma-separated integers, got {text!r}")
 
 
-def _collect_profiles(
-    text: str, config: RunConfig
-) -> tuple[list[DepthProfile], int, int]:
-    """Parse and measure every sentence; returns profiles, attempted, skipped."""
+def _tally(text: str, config: RunConfig) -> tuple[Histogram, Histogram, int, int]:
+    """Parse and measure every sentence; returns unit and maximum histograms, attempted, skipped."""
     method = METHODS[config.method]
     # Classes, not exceptions: a raised one's traceback ties the reader's frame into a cycle.
     errors: list[type[TreebankError]] = []
@@ -206,15 +203,18 @@ def _collect_profiles(
             return depths(normalize_tree(tree, strip_punctuation=strip), metric)
 
     skipped = len(errors)
-    profiles = []
+    units, maxima = Counter(), Counter()
     for sentence in sentences:
         try:
-            profiles.append(measure(sentence))
+            profile = measure(sentence)
         except (LeftwardHead, EmptyAfterNormalization):
             if config.strict:
                 raise
             skipped += 1
-    return profiles, len(sentences) + len(errors), skipped
+            continue
+        units.update(profile.values)
+        maxima[profile.sentence_max] += 1
+    return Histogram(units), Histogram(maxima), len(sentences) + len(errors), skipped
 
 
 def run(config: RunConfig) -> int:
@@ -232,16 +232,12 @@ def run(config: RunConfig) -> int:
             _say(f"cannot read input: {exc}")
             return 1
         try:
-            profiles, attempted, skipped = _collect_profiles(text, config)
+            units, maxima, attempted, skipped = _tally(text, config)
         except TreebankError as exc:
             _say(str(exc))
             return 1
         report = render(
-            unit_histogram(profiles),
-            sentence_histogram(profiles),
-            config.output_format,
-            method=config.method,
-            thresholds=config.thresholds,
+            units, maxima, config.output_format, method=config.method, thresholds=config.thresholds
         )
         try:
             _write(sys.stdout, report)

@@ -50,7 +50,7 @@ class DepthProfile(_Record):
 
 
 class Histogram(_Record):
-    """Frequency of each load value; zero-count bins are not stored."""
+    """Frequency of each load value, kept as an ascending copy; zero-count bins are not stored."""
 
     __slots__ = ("bins",)
 
@@ -58,7 +58,10 @@ class Histogram(_Record):
         for value, count in bins.items():
             if value < 0 or count < 1:
                 raise ValueError(f"invalid histogram bin {value}: {count}")
-        object.__setattr__(self, "bins", bins)
+        object.__setattr__(self, "bins", dict(sorted(bins.items())))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.bins.items()))
 
     @property
     def total(self) -> int:
@@ -68,19 +71,15 @@ class Histogram(_Record):
     def max_value(self) -> int:
         return max(self.bins, default=0)
 
-    @classmethod
-    def from_values(cls, values: Iterable[int]) -> Histogram:
-        return cls(dict(sorted(Counter(values).items())))
-
 
 def unit_histogram(profiles: Iterable[DepthProfile]) -> Histogram:
     """Frequencies over every individual value in the profiles."""
-    return Histogram.from_values(chain.from_iterable(p.values for p in profiles))
+    return Histogram(Counter(chain.from_iterable(p.values for p in profiles)))
 
 
 def sentence_histogram(profiles: Iterable[DepthProfile]) -> Histogram:
     """Frequencies over each profile's maximum; empty profiles count at 0."""
-    return Histogram.from_values(profile.sentence_max for profile in profiles)
+    return Histogram(Counter(profile.sentence_max for profile in profiles))
 
 
 class ThresholdReport(NamedTuple):
@@ -134,12 +133,8 @@ def render(
         import json  # here, not at the top: only json output pays for the import
         payload = {
             "method": method,
-            "unit_histogram": {
-                str(value): count for value, count in sorted(unit_hist.bins.items())
-            },
-            "sentence_histogram": {
-                str(value): count for value, count in sorted(sentence_hist.bins.items())
-            },
+            "unit_histogram": {str(v): count for v, count in unit_hist.bins.items()},
+            "sentence_histogram": {str(v): count for v, count in sentence_hist.bins.items()},
             "total_units": unit_hist.total,
             "total_sentences": sentence_hist.total,
             "max_value": max(unit_hist.max_value, sentence_hist.max_value),

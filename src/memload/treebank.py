@@ -254,10 +254,10 @@ def parse_ptb_corpus(
     # label is None until its token arrives and "" for an unlabeled wrapper,
     # whose children are the trees it holds.
     stack: list[list] = []
-    # Errors found inside the open top-level group.  Only the first is
-    # reported, when the group closes, and only that group is skipped, so one
-    # bad sentence cannot poison the rest of the file.
-    errors: list[tuple[type[PtbParseError], str, int]] = []
+    # The first error found inside the open top-level group, reported when the
+    # group closes.  Only that group is skipped, so one bad sentence cannot
+    # poison the rest of the file.
+    error: tuple[type[PtbParseError], str, int] | None = None
     line_starts: list[int] = []
     # Errors are reported in token order, so one pass finds all their offsets.
     matches = enumerate(_TOKEN_RE.finditer(text))
@@ -284,7 +284,7 @@ def parse_ptb_corpus(
                 if len(stack) == 1:
                     stack[0][0] = ""
                 else:
-                    errors.append((PtbParseError, "node without a label", stack[-1][2]))
+                    error = error or (PtbParseError, "node without a label", stack[-1][2])
             stack.append([None, [], index])
         elif not stack:
             if token == ")":
@@ -297,24 +297,24 @@ def parse_ptb_corpus(
                 node[0] = token
             elif node[0]:
                 node[1].append(leaves.get(token) or leaves.setdefault(token, _node("", (), token)))
-            else:
+            elif not error:
                 message = f"surface token {token!r} directly under an unlabeled wrapper"
-                errors.append((LeafWithoutLabel, message, index))
+                error = LeafWithoutLabel, message, index
         else:
             label, children, start = stack.pop()
             if label is None:
-                errors.append((EmptyTree, "empty node", start))
+                error = error or (EmptyTree, "empty node", start)
             elif not children:
-                errors.append((EmptyTree, f"node {label!r} has no children", start))
+                error = error or (EmptyTree, f"node {label!r} has no children", start)
             elif label:
                 parent = stack[-1][1] if stack else trees
                 parent.append(_node(label, tuple(children)))
             else:
                 trees.extend(children)
-            if errors and not stack:
+            if error and not stack:
                 del trees[group_start:]
-                report(*errors[0])
-                errors.clear()
+                report(*error)
+                error = None
     if stack:
         report(UnbalancedBrackets, "unclosed '('", stack[0][2])
     return trees

@@ -17,7 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memload
-from memload import cli
+import treegen
+from memload import (
+    EmptyAfterNormalization, MetricConfig, cli, load_profile, normalize_tree, np_depths,
+    parse_dep_corpus, parse_ptb_corpus, render, sentence_histogram, unit_histogram, word_depths,
+)
 from memload.cli import METHODS, RunConfig, main, run
 
 DATA = Path(__file__).parent / "data"
@@ -360,7 +364,7 @@ def test_gc_is_paused_while_sentences_are_measured(monkeypatch, capsys, enabled)
         seen.append(gc.isenabled())
         raise RuntimeError("stop")
 
-    monkeypatch.setattr(cli, "_collect_profiles", collect)
+    monkeypatch.setattr(cli, "_tally", collect)
     with gc_state(enabled):
         with pytest.raises(RuntimeError, match="stop"):
             run(RunConfig(Path(PTB_FIXTURE), "yngve-word"))
@@ -402,6 +406,46 @@ def test_skipping_sentences_leaves_no_cyclic_garbage(tmp_path, capsys, method):
         assert run(config) == 0
         assert gc.collect() == 0
     assert capsys.readouterr().err.startswith("memload: skipped ")
+
+
+def library_profiles(text: str, method: str) -> list:
+    """The profiles of every sentence the CLI measures, built from the library's functions."""
+    scheme = METHODS[method].scheme
+    if scheme is None:
+        return [load_profile(s) for s in parse_dep_corpus(text, on_error=lambda exc: None)]
+    depths = np_depths if METHODS[method].measures_nps else word_depths
+    profiles = []
+    for tree in parse_ptb_corpus(text, on_error=lambda exc: None):
+        try:
+            profiles.append(depths(normalize_tree(tree), MetricConfig(scheme)))
+        except EmptyAfterNormalization:
+            pass
+    return profiles
+
+
+TALLIED = {
+    "ptb": SKIPPED["yngve-word"] + "".join(
+        f"{tree.to_bracketed()}\n"
+        for tree in treegen.random_trees(seed=1701, count=300, labels=treegen.MESSY_LABELS)
+    ),
+    "dep": SKIPPED["dep-load"] + "\n" + treegen.random_dep_text(seed=1702, n_sentences=300),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("method", METHODS)
+def test_the_cli_tally_renders_what_the_library_histograms_render(tmp_path, capsys, method, fmt):
+    text = TALLIED[METHODS[method].format]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(text, encoding="utf-8")
+    profiles = library_profiles(text, method)
+    assert run(RunConfig(corpus, method, output_format=fmt, thresholds=(0, 3, 9))) == 0
+    out, err = capsys.readouterr()
+    assert out == render(
+        unit_histogram(profiles), sentence_histogram(profiles), fmt, method=method,
+        thresholds=(0, 3, 9),
+    )
+    assert err.startswith("memload: skipped ")
 
 
 def test_punctuation_only_sentence_skipped(tmp_path, capsys):

@@ -106,16 +106,21 @@ def test_modules_are_pinned():
 def test_public_constructors_store_tuples():
     w, v = ConstituencyTree.word("w"), ConstituencyTree.word("v")
     units, children, values = [DependencyUnit(1, "a", 0)], [w], [1, 0]
+    bins = {3: 1, 0: 2}
     sentence = DependencySentence(units)
     tree = ConstituencyTree(label="X", children=children)
     profile = DepthProfile(values)
+    histogram = Histogram(bins)
     units.append(DependencyUnit(2, "b", 1))
     children.append(v)
     values.append(2)
+    bins[5] = 4
     assert sentence.units == (DependencyUnit(1, "a", 0),) and len(sentence) == 1
     assert tree.children == (w,) and profile.values == (1, 0)
+    assert list(histogram.bins.items()) == [(0, 2), (3, 1)] and histogram.total == 3
     assert hash(sentence) == hash(DependencySentence.from_heads([0], ["a"]))
     assert hash(profile) == hash(DepthProfile((1, 0)))
+    assert hash(histogram) == hash(Histogram({0: 2, 3: 1}))
 
 
 RECORDS = [

@@ -205,6 +205,28 @@ def test_bad_tree_skips_its_whole_wrapper():
     assert isinstance(errors[0], EmptyTree)
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("( (X a) " + "b " * 400_000 + ")", LeafWithoutLabel,
+         "surface token 'b' directly under an unlabeled wrapper (line 1, column 9)"),
+        ("( " + "() " * 200_000 + ")", EmptyTree, "empty node (line 1, column 3)"),
+    ],
+    ids=["stray-surfaces", "empty-nodes"],
+)
+def test_a_bad_group_keeps_only_its_first_error(text, error, message):
+    # Hundreds of thousands of faults in one group: only the first is kept.
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as info:
+            parse_ptb_corpus(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message
+    assert peak < 2_000_000
+
+
 def deep_chain_text(depth: int) -> str:
     return "(S " * depth + "w" + ")" * depth
 
