@@ -17,6 +17,7 @@ import gc
 import os
 import sys
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -51,6 +52,7 @@ METHODS = {
 }
 # In the order --help has always listed them: ptb first.
 FORMATS = tuple(dict.fromkeys(m.format for m in reversed(METHODS.values())))
+_BATCH = 4096  # sentences whose values _tally holds, then counts in C at once
 
 
 class InvalidConfig(ValueError):
@@ -204,16 +206,24 @@ def _tally(text: str, config: RunConfig) -> tuple[Histogram, Histogram, int, int
 
     skipped = len(errors)
     units, maxima = Counter(), Counter()
+    batch: list[tuple[int, ...]] = []
+
+    def count() -> None:
+        units.update(chain.from_iterable(batch))
+        maxima.update(max(values, default=0) for values in batch)
+        batch.clear()
+
     for sentence in sentences:
         try:
-            profile = measure(sentence)
+            batch.append(measure(sentence).values)
         except (LeftwardHead, EmptyAfterNormalization):
             if config.strict:
                 raise
             skipped += 1
             continue
-        units.update(profile.values)
-        maxima[profile.sentence_max] += 1
+        if len(batch) == _BATCH:
+            count()
+    count()
     return Histogram(units), Histogram(maxima), len(sentences) + len(errors), skipped
 
 

@@ -278,9 +278,7 @@ def parse_ptb_corpus(
     pieces = (m.group().replace("(", " ( ").replace(")", " ) ") for m in _PIECE_RE.finditer(text))
     for index, token in enumerate(chain.from_iterable(map(str.split, pieces))):
         if token == "(":
-            if not stack:
-                group_start = len(trees)
-            elif stack[-1][0] is None:
+            if stack and stack[-1][0] is None:
                 if len(stack) == 1:
                     stack[0][0] = ""
                 else:
@@ -295,24 +293,27 @@ def parse_ptb_corpus(
             node = stack[-1]
             if node[0] is None:
                 node[0] = token
+            elif error:  # the group is skipped: nothing after its first error is built
+                pass
             elif node[0]:
                 node[1].append(leaves.get(token) or leaves.setdefault(token, _node("", (), token)))
-            elif not error:
+            else:
                 message = f"surface token {token!r} directly under an unlabeled wrapper"
                 error = LeafWithoutLabel, message, index
         else:
             label, children, start = stack.pop()
-            if label is None:
-                error = error or (EmptyTree, "empty node", start)
+            if error:
+                pass
+            elif label is None:
+                error = EmptyTree, "empty node", start
             elif not children:
-                error = error or (EmptyTree, f"node {label!r} has no children", start)
+                error = EmptyTree, f"node {label!r} has no children", start
             elif label:
                 parent = stack[-1][1] if stack else trees
                 parent.append(_node(label, tuple(children)))
             else:
                 trees.extend(children)
             if error and not stack:
-                del trees[group_start:]
                 report(*error)
                 error = None
     if stack:

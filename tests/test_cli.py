@@ -429,16 +429,26 @@ TALLIED = {
         for tree in treegen.random_trees(seed=1701, count=300, labels=treegen.MESSY_LABELS)
     ),
     "dep": SKIPPED["dep-load"] + "\n" + treegen.random_dep_text(seed=1702, n_sentences=300),
+    # More sentences than cli._BATCH, which the tally counts at once; a bad block after the first.
+    "dep-batches": treegen.random_dep_text(seed=1703, n_sentences=4096) + "\n1\ta\n\n"
+    + treegen.random_dep_text(seed=1704, n_sentences=904),
 }
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-@pytest.mark.parametrize("method", METHODS)
-def test_the_cli_tally_renders_what_the_library_histograms_render(tmp_path, capsys, method, fmt):
-    text = TALLIED[METHODS[method].format]
+@pytest.mark.parametrize(
+    "method, tallied",
+    [pytest.param(method, METHODS[method].format, id=method) for method in METHODS]
+    + [pytest.param("dep-load", "dep-batches", id="dep-load-batches")],
+)
+def test_the_cli_tally_renders_what_the_library_histograms_render(
+    tmp_path, capsys, method, tallied, fmt
+):
+    text = TALLIED[tallied]
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(text, encoding="utf-8")
     profiles = library_profiles(text, method)
+    assert tallied != "dep-batches" or len(profiles) > cli._BATCH
     assert run(RunConfig(corpus, method, output_format=fmt, thresholds=(0, 3, 9))) == 0
     out, err = capsys.readouterr()
     assert out == render(
@@ -589,6 +599,22 @@ def test_module_invocation():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("value,units,sentences\n0,1,0\n")
+
+
+def test_both_launchers_freeze_the_heap_once_main_returns(capsys):
+    # Shutdown's collections skip the frozen heap; the library's main never freezes it.
+    argv = ["--input", DEP_FIXTURE, "--format", "dep", "--method", "dep-load", "--output", "csv"]
+    frozen = gc.get_freeze_count()
+    assert main(argv) == 0 and gc.get_freeze_count() == frozen
+    hook = (
+        "import atexit, gc, runpy; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+        "runpy.run_module('memload', run_name='__main__')"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", hook, *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == capsys.readouterr().out + "True\n"
 
 
 @pytest.mark.parametrize(

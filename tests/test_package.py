@@ -98,6 +98,16 @@ def test_no_module_calls_print():
     assert calls == []
 
 
+def test_the_installed_command_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"memload": "memload.__main__:script"}
+    from memload.__main__ import script
+
+    assert callable(script)
+
+
 def test_modules_are_pinned():
     modules = {module.name for module in pkgutil.iter_modules(memload.__path__)}
     assert modules == {"__main__", "cli", "depload", "stackdepth", "stats", "treebank"}

@@ -211,11 +211,14 @@ def test_bad_tree_skips_its_whole_wrapper():
         ("( (X a) " + "b " * 400_000 + ")", LeafWithoutLabel,
          "surface token 'b' directly under an unlabeled wrapper (line 1, column 9)"),
         ("( " + "() " * 200_000 + ")", EmptyTree, "empty node (line 1, column 3)"),
+        ("( () " + "(S (NP (N a) (N b)) (V c)) " * 100_000 + ")", EmptyTree,
+         "empty node (line 1, column 3)"),
     ],
-    ids=["stray-surfaces", "empty-nodes"],
+    ids=["stray-surfaces", "empty-nodes", "trees-after-the-error"],
 )
 def test_a_bad_group_keeps_only_its_first_error(text, error, message):
-    # Hundreds of thousands of faults in one group: only the first is kept.
+    # Hundreds of thousands of faults, or of well-formed trees, after a group's
+    # first error: only that error is kept, and nothing after it is built.
     tracemalloc.start()
     try:
         with pytest.raises(error) as info:
