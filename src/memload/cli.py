@@ -189,11 +189,11 @@ def _tally(text: str, config: RunConfig) -> tuple[Histogram, Histogram, int, int
     on_error = None if config.strict else (lambda exc: errors.append(type(exc)))
     if method.scheme is None:
         sentences = parse_dep_corpus(text, on_error=on_error)
-
-        def measure(sentence):
-            if config.strict_rightward:
+        measure = load_profile  # read from this module's globals, as a tracer may wrap it
+        if config.strict_rightward:
+            def measure(sentence):
                 ensure_rightward(sentence)
-            return load_profile(sentence)
+                return load_profile(sentence)
 
     else:
         sentences = parse_ptb_corpus(text, on_error=on_error)

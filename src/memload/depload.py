@@ -7,7 +7,7 @@ per-step count of such pending units is the load the sentence imposes.
 
 from __future__ import annotations
 
-from .stats import DepthProfile
+from .stats import DepthProfile, _profile
 from .treebank import DependencySentence, TreebankError
 
 __all__ = ["LeftwardHead", "load_profile", "ensure_rightward"]
@@ -39,7 +39,7 @@ def load_profile(sentence: DependencySentence) -> DepthProfile:
             ends[resolved_at] += 1
         pending -= ends[i]
         values.append(pending)
-    return DepthProfile(tuple(values))
+    return _profile(tuple(values))
 
 
 def ensure_rightward(sentence: DependencySentence) -> None:

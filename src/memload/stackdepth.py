@@ -16,7 +16,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
 
-from .stats import DepthProfile
+from .stats import DepthProfile, _profile
 from .treebank import ConstituencyTree
 
 __all__ = ["COORDINATOR_LABELS", "NumberingScheme", "MetricConfig", "word_depths", "np_depths"]
@@ -92,7 +92,7 @@ def _walk_depths(tree: ConstituencyTree, config: MetricConfig, measure_nps: bool
         for child in reversed(children):
             stack.append((child, child_depth, inside_np))
             child_depth = child_depth + 1 if yngve else depth + 1
-    return DepthProfile(tuple(values))
+    return _profile(tuple(values))
 
 
 def word_depths(tree: ConstituencyTree, config: MetricConfig) -> DepthProfile:

@@ -38,7 +38,7 @@ class DepthProfile(_Record):
         values = tuple(values)
         if values and min(values) < 0:
             raise ValueError("load values cannot be negative")
-        object.__setattr__(self, "values", values)
+        _set_values(self, values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -47,6 +47,16 @@ class DepthProfile(_Record):
     def sentence_max(self) -> int:
         """Largest load reached anywhere in the sentence, 0 when empty."""
         return max(self.values, default=0)
+
+
+_set_values = DepthProfile.values.__set__
+
+
+def _profile(values: tuple[int, ...]) -> DepthProfile:
+    """A profile built unchecked; the metric walks give no negative value."""
+    profile = object.__new__(DepthProfile)
+    _set_values(profile, values)
+    return profile
 
 
 class Histogram(_Record):
@@ -100,10 +110,7 @@ def threshold_report(
     """
     ordered = tuple(sorted(set(thresholds)))
     total = histogram.total
-    counts = tuple(
-        sum(freq for value, freq in histogram.bins.items() if value > t)
-        for t in ordered
-    )
+    counts = tuple(sum(f for value, f in histogram.bins.items() if value > t) for t in ordered)
     fractions = tuple(count / total if total else 0.0 for count in counts)
     return ThresholdReport(ordered, counts, fractions)
 
@@ -157,10 +164,7 @@ def render(
     cells.append(("total", str(unit_hist.total), str(sentence_hist.total)))
     widths = [max(len(row[col]) for row in cells) for col in range(3)]
     lines = [f"method: {method}"] if method else []
-    lines += [
-        "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
-        for row in cells
-    ]
+    lines += ["  ".join(cell.rjust(width) for cell, width in zip(row, widths)) for row in cells]
     lines += [
         f"> {t}: units {uc} ({uf:.2%}), sentences {sc} ({sf:.2%})"
         for t, uc, uf, sc, sf in exceeded

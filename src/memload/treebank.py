@@ -406,7 +406,17 @@ class DependencySentence(_Record):
             message = f"unit indices must be exactly 1..{n} in order, got {indices}"
             raise NonContiguousIndices(message)
         heads = tuple([unit.head for unit in units])
-        _check_dep_sentence(heads)
+        # The first bad head, else a root count other than one.
+        for index, head in enumerate(heads, start=1):
+            if head == index:
+                raise SelfHead(f"unit {index} depends on itself")
+            if not 0 <= head <= n:
+                raise HeadOutOfRange(f"unit {index} has head {head}, outside 0..{n}")
+        roots = [index for index, head in enumerate(heads, start=1) if head == 0]
+        if len(roots) > 1:
+            raise MultipleRoots(f"units {roots} all have head 0")
+        if not roots:
+            raise MissingRoot("no unit has head 0")
         _set_heads(self, heads)
         _set_surfaces(self, tuple([unit.surface for unit in units]))
         _set_units(self, units)
@@ -435,7 +445,7 @@ _set_units = DependencySentence._units.__set__
 
 
 def _dep_sentence(heads: tuple[int, ...], surfaces: tuple[str, ...]) -> DependencySentence:
-    """A sentence built unchecked; the reader has run _check_dep_sentence."""
+    """A sentence built unchecked; _read_bulk has checked it as __init__ would."""
     sentence = object.__new__(DependencySentence)
     _set_heads(sentence, heads)
     _set_surfaces(sentence, surfaces)
@@ -443,20 +453,10 @@ def _dep_sentence(heads: tuple[int, ...], surfaces: tuple[str, ...]) -> Dependen
     return sentence
 
 
-def _check_dep_sentence(heads: tuple[int, ...]) -> None:
-    """Raise on the first bad head, else on a root count other than one."""
-    n = len(heads)
-    positions = range(1, n + 1)
-    if heads and (min(heads) < 0 or max(heads) > n or any(map(eq, heads, positions))):
-        index, head = next((i, h) for i, h in zip(positions, heads) if h == i or not 0 <= h <= n)
-        if head == index:
-            raise SelfHead(f"unit {index} depends on itself")
-        raise HeadOutOfRange(f"unit {index} has head {head}, outside 0..{n}")
-    if heads.count(0) != 1:
-        roots = [i for i, head in zip(positions, heads) if head == 0]
-        if roots:
-            raise MultipleRoots(f"units {roots} all have head 0")
-        raise MissingRoot("no unit has head 0")
+# str.splitlines' line breaks besides "\n".  Once each "\r\n" is one "\n", making each of
+# these a "\n" too keeps every line and its number: then "\n" alone splits the text.
+_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_COMMENT = re.compile(r"\n#.*")  # a comment line and the break before it
 
 
 def parse_dep_corpus(
@@ -464,63 +464,81 @@ def parse_dep_corpus(
 ) -> list[DependencySentence]:
     """Parse blank-line separated blocks of INDEX<TAB>SURFACE<TAB>HEAD lines.
 
-    Lines starting with "#" are ignored, and index and head are read as int()
-    reads them: in bulk where a block is written as str() writes it, else line
-    by line.  With the default on_error=None the first malformed sentence
-    raises; with a callback each error is reported to it and the sentence
-    skipped.
+    Lines break where str.splitlines breaks them, a line of only whitespace
+    is blank, and lines starting with "#" are ignored.  Index and head are
+    read as int() reads them: in bulk where a block is written as str()
+    writes it, else line by line.  With the default on_error=None the first
+    malformed sentence raises; with a callback each error is reported to it
+    and the sentence skipped.
     """
     sentences: list[DependencySentence] = []
     numerals, values = [], {}  # numerals[i] == str(i), values[str(i)] == i: the numeral table
-    lines = text.splitlines()
-    lines.append("")  # closes the last block at EOF
-    start = 0  # the open block's first line, 0-based
-    # The blank lines: str.strip leaves "" exactly where a line is empty or all whitespace.
-    for end in compress(count(), map(not_, map(str.strip, lines))):
-        if end > start:
-            try:
-                sentences += _read_block(lines, start, end, numerals, values)
-            except DepFormatError as exc:
-                if on_error is None:
-                    raise
-                # Its traceback holds this frame, and so on_error and whatever keeps exc.
-                on_error(exc.with_traceback(None))
-        start = end + 1
+    if any(map(text.__contains__, _BREAKS)):
+        text = text.replace("\r\n", "\n").translate(dict.fromkeys(map(ord, _BREAKS), "\n"))
+    line_no = 1  # the next chunk's first line
+    # A chunk between two blank lines is most often one block as str() writes it.
+    for chunk in text.split("\n\n"):
+        if chunk[:1] == "\n":  # blank lines past the first: the chunk starts after them
+            line_no += len(chunk) - len(chunk := chunk.lstrip("\n"))
+        breaks = chunk.count("\n")
+        first, line_no = line_no, line_no + breaks + 2  # past its lines and the blank line after
+        sentence = _read_bulk(chunk, breaks + 1, numerals, values)
+        if sentence is not None:
+            sentences.append(sentence)
+            continue
+        lines = (chunk + "\n").split("\n")  # its runs of non-blank lines; a last "" closes one
+        start = 0
+        # The blank lines: str.strip leaves "" exactly where a line is empty or all whitespace.
+        for end in compress(count(), map(not_, map(str.strip, lines))):
+            if end > start:
+                block = lines[start:end]
+                try:
+                    sentence = _read_bulk("\n".join(block), end - start, numerals, values)
+                    sentences += _walk(block, first + start) if sentence is None else (sentence,)
+                except DepFormatError as exc:
+                    if on_error is None:
+                        raise
+                    # Its traceback holds this frame, and so on_error and whatever keeps exc.
+                    on_error(exc.with_traceback(None))
+            start = end + 1
     return sentences
 
 
-def _read_block(
-    lines: list[str], start: int, end: int, numerals: list[str], values: dict[str, int]
-) -> tuple[DependencySentence, ...]:
-    """The sentence of lines[start:end], a run of non-blank lines; none if all are comments.
+def _read_bulk(block: str, n: int, numerals: list, values: dict) -> DependencySentence | None:
+    """The sentence of n lines joined by "\n", if written as str() writes it; else None.
 
-    A block written as str() writes it is read in bulk: indices matched with numerals (grown
-    here to 2n + 1), heads looked up in values.  Any other is walked line by line with int().
+    Where the tab count misses, comment lines are dropped first.  Indices are matched with
+    numerals (grown here to 2n + 1), heads looked up in values; a broken head rule is None.
     """
-    block = lines[start:end]
-    joined = "\t\n\t".join(block)
-    if joined[0] == "#" or "\n\t#" in joined:  # comment lines: read the block without them
-        block = [raw for raw in block if raw[0] != "#"]
-        joined = "\t\n\t".join(block)
-    n = len(block)
-    if n >= len(numerals):
-        numerals[:] = map(str, range(2 * n + 1))
-        values.update(zip(numerals, count()))
-    fields = joined.split("\t")
+    if (tabs := block.count("\t")) != 2 * n and (block[:1] == "#" or "\n#" in block):
+        block = _COMMENT.sub("", "\n" + block)[1:]
+        n, tabs = block.count("\n") + 1, block.count("\t")
+    if tabs != 2 * n:  # before the replace and split: a long chunk may fail here
+        return None
+    fields = block.replace("\n", "\t\n\t").split("\t")
     surfaces = tuple(fields[1::4])
     # No line holds a "\n", so a "\n" field is a separator: one at every
     # fourth place, and nowhere else, means every line has exactly two tabs.
-    rows = len(fields) == 4 * n - 1 and fields[3::4] == ["\n"] * (n - 1) and all(surfaces)
-    if rows and fields[0::4] == numerals[1 : n + 1]:  # indices written "1".."n"
-        try:
-            heads = tuple(map(values.__getitem__, fields[2::4]))
-        except KeyError:  # a head past the table, or not written as str() writes it
-            pass
-        else:
-            _check_dep_sentence(heads)
-            return (_dep_sentence(heads, surfaces),)
+    if fields[3::4] != ["\n"] * (n - 1) or not all(surfaces):
+        return None
+    if n >= len(numerals):  # only now: a chunk that fails the rows check may be long
+        numerals[:] = map(str, range(2 * n + 1))
+        values.update(zip(numerals, count()))
+    if fields[0::4] != numerals[1 : n + 1]:  # indices not written "1".."n"
+        return None
+    try:
+        heads = tuple(map(values.__getitem__, fields[2::4]))
+    except KeyError:  # a head past the table, or not written as str() writes it
+        return None
+    if max(heads) > n or heads.count(0) != 1 or any(map(eq, heads, range(1, n + 1))):
+        return None
+    return _dep_sentence(heads, surfaces)
+
+
+def _walk(block: list[str], first: int) -> tuple:
+    """The sentence of non-blank lines numbered from first, read with int(); none if comments."""
     units = []  # the walk runs outside every handler, so no error it raises has a __context__
-    for line_no, raw in enumerate(lines[start:end], start=start + 1):
+    for line_no, raw in enumerate(block, start=first):
         if raw[0] == "#":
             continue
         fields = raw.split("\t")

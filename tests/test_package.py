@@ -133,6 +133,27 @@ def test_public_constructors_store_tuples():
     assert hash(histogram) == hash(Histogram({0: 2, 3: 1}))
 
 
+def test_measured_profiles_equal_constructed_ones():
+    # The metrics build their profiles unchecked; each must be the record the constructor builds.
+    [sentence] = memload.parse_dep_corpus("1\ta\t2\n2\tb\t4\n3\tc\t2\n4\td\t0\n")
+    [tree] = memload.parse_ptb_corpus("(S (NP (D a) (N b)) (VP (V c) (NP (N d))))")
+    config = MetricConfig(NumberingScheme.YNGVE)
+    measured = [
+        memload.load_profile(sentence),
+        memload.word_depths(tree, config),
+        memload.np_depths(tree, config),
+        memload.np_depths(ConstituencyTree.phrase("S", [ConstituencyTree.word("w")]), config),
+    ]
+    for profile in measured:
+        built = DepthProfile(list(profile.values))
+        assert type(profile) is DepthProfile and type(profile.values) is tuple
+        assert profile == built and hash(profile) == hash(built) and repr(profile) == repr(built)
+    assert [p.values for p in measured] == [(1, 1, 1, 0), (2, 1, 1, 0), (1, 0), ()]
+    with pytest.raises(ValueError, match="^load values cannot be negative$"):
+        DepthProfile([0, -1])
+    assert DepthProfile([2, 0]).values == (2, 0)
+
+
 RECORDS = [
     (ConstituencyTree.word("w"), "surface"),
     (ConstituencyTree.phrase("S", [ConstituencyTree.word("w")]), "children"),

@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treegen
+from memload import treebank
+from test_cli import LINE_BREAKS
 from memload.treebank import (
     _TOKEN_RE,
     ConstituencyTree,
@@ -788,7 +790,12 @@ def canonical_dep_block(draw) -> list[str]:
 
 @st.composite
 def dep_texts(draw) -> str:
-    """Dep input that is mostly well formed, with every kind of fault mixed in."""
+    """Dep input that is mostly well formed, with every kind of fault mixed in.
+
+    Lines end in any break str.splitlines knows, "\n" most often, so blocks
+    are also split apart by "\n\n"; separators are one to three blank or
+    whitespace-only lines, and the last line may have no break at all.
+    """
     parts = []
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(["noisy", "noisy", "canonical", "comments"]))
@@ -806,9 +813,12 @@ def dep_texts(draw) -> str:
             comment = draw(st.sampled_from([None] * 6 + ["# note", "#\t1\tw\t0"]))
             parts += [comment] if comment else []
             parts.append("\t".join(draw(st.sampled_from(shapes))))
-        parts.append(draw(st.sampled_from(["", "", " ", "\t", "\xa0", "\u3000 "])))
-    line_breaks = st.sampled_from(["\n", "\n", "\r\n", "\x85", "\r"])
+        separator = st.sampled_from(["", "", " ", "\t", "\xa0", "\u3000 "])
+        parts += draw(st.lists(separator, min_size=1, max_size=3))
+    line_breaks = st.sampled_from(["\n"] * len(LINE_BREAKS) + LINE_BREAKS)
     breaks = draw(st.lists(line_breaks, min_size=len(parts), max_size=len(parts)))
+    if breaks and draw(st.booleans()):
+        breaks[-1] = ""  # the last line ends the text
     return "".join(part + brk for part, brk in zip(parts, breaks))
 
 
@@ -913,6 +923,60 @@ def test_the_reader_keeps_no_memory_after_it_returns():
     finally:
         tracemalloc.stop()
     assert held < 50_000
+
+
+def dep_variants(text: str) -> dict[str, str]:
+    """A written corpus, and its blocks with CRLF breaks, a comment each, or two blank lines."""
+    blocks = text.removesuffix("\n").split("\n\n")
+    headed = (f"# sent_id = {k}\n{block}" for k, block in enumerate(blocks))
+    return {
+        "as written": text,
+        "crlf": text.replace("\n", "\r\n"),
+        "sent_id": "\n\n".join(headed) + "\n",
+        "two blank lines": "\n\n\n".join(blocks) + "\n",
+    }
+
+
+def read_counting_units(monkeypatch, text: str, **kwargs) -> tuple[list, list[tuple]]:
+    """parse_dep_corpus(text), and the (index, surface, head) of each DependencyUnit it built."""
+    built, unit = [], treebank.DependencyUnit
+
+    def counted(*fields):
+        built.append(fields)
+        return unit(*fields)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(treebank, "DependencyUnit", counted)
+        sentences = parse_dep_corpus(text, **kwargs)
+    return sentences, built
+
+
+@pytest.mark.parametrize("variant", ["as written", "crlf", "sent_id", "two blank lines"])
+def test_a_written_corpus_is_read_in_bulk(monkeypatch, variant):
+    # A block that fell to the line walk would build one DependencyUnit per line.
+    text = treegen.random_dep_text(seed=20, n_sentences=300)
+    sentences, built = read_counting_units(monkeypatch, dep_variants(text)[variant])
+    assert built == []
+    assert sentences == treegen.random_dep_sentences(seed=20, count=300, max_len=25)
+
+
+@pytest.mark.parametrize("variant", ["as written", "crlf", "sent_id", "two blank lines"])
+def test_a_malformed_line_walks_its_own_block_only(monkeypatch, variant):
+    sentences = treegen.random_dep_sentences(seed=21, count=200, max_len=25)
+    k = next(k for k in range(100, 200) if len(sentences[k]) >= 3)  # a block mid-corpus
+    blocks = [treegen.dep_text([sentence]) for sentence in sentences]
+    assert "\n".join(blocks) == treegen.dep_text(sentences)
+    lines = blocks[k].splitlines()
+    lines[2] = lines[2].rsplit("\t", 1)[0]  # the third line loses its head
+    blocks[k] = "\n".join(lines) + "\n"
+    text = "\n".join(blocks)
+    errors: list[Exception] = []
+    read, built = read_counting_units(
+        monkeypatch, dep_variants(text)[variant], on_error=errors.append
+    )
+    assert [type(e) for e in errors] == [MalformedLine] and "got 2 field(s)" in str(errors[0])
+    assert built == [(unit.index, unit.surface, unit.head) for unit in sentences[k].units[:2]]
+    assert read == sentences[:k] + sentences[k + 1 :]
 
 
 @settings(max_examples=100, deadline=None)
