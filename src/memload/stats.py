@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -14,8 +13,6 @@ __all__ = [
     "DepthProfile",
     "Histogram",
     "ThresholdReport",
-    "unit_histogram",
-    "sentence_histogram",
     "threshold_report",
     "render",
 ]
@@ -42,11 +39,6 @@ class DepthProfile(_Record):
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def sentence_max(self) -> int:
-        """Largest load reached anywhere in the sentence, 0 when empty."""
-        return max(self.values, default=0)
 
 
 _set_values = DepthProfile.values.__set__
@@ -80,16 +72,6 @@ class Histogram(_Record):
     @property
     def max_value(self) -> int:
         return max(self.bins, default=0)
-
-
-def unit_histogram(profiles: Iterable[DepthProfile]) -> Histogram:
-    """Frequencies over every individual value in the profiles."""
-    return Histogram(Counter(chain.from_iterable(p.values for p in profiles)))
-
-
-def sentence_histogram(profiles: Iterable[DepthProfile]) -> Histogram:
-    """Frequencies over each profile's maximum; empty profiles count at 0."""
-    return Histogram(Counter(profile.sentence_max for profile in profiles))
 
 
 class ThresholdReport(NamedTuple):

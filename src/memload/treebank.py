@@ -156,18 +156,6 @@ class ConstituencyTree(_Record):
         _set_children(self, children)
         _set_surface(self, surface)
 
-    @classmethod
-    def phrase(cls, label: str, children: Sequence[ConstituencyTree]) -> ConstituencyTree:
-        return cls(label=label, children=children)
-
-    @classmethod
-    def word(cls, surface: str) -> ConstituencyTree:
-        return cls(surface=surface)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def leaves(self) -> Iterator[ConstituencyTree]:
         stack = [self]
         while stack:
@@ -430,14 +418,6 @@ class DependencySentence(_Record):
             _set_units(self, tuple(map(DependencyUnit, count(1), self.surfaces, self.heads)))
         return self._units
 
-    @classmethod
-    def from_heads(
-        cls, heads: Sequence[int], surfaces: Sequence[str] | None = None
-    ) -> DependencySentence:
-        if surfaces is None:
-            surfaces = [f"w{i}" for i in range(1, len(heads) + 1)]
-        return cls(map(DependencyUnit, count(1), surfaces, heads))
-
 
 _set_heads = DependencySentence.heads.__set__
 _set_surfaces = DependencySentence.surfaces.__set__
@@ -476,8 +456,9 @@ def parse_dep_corpus(
     if any(map(text.__contains__, _BREAKS)):
         text = text.replace("\r\n", "\n").translate(dict.fromkeys(map(ord, _BREAKS), "\n"))
     line_no = 1  # the next chunk's first line
-    # A chunk between two blank lines is most often one block as str() writes it.
-    for chunk in text.split("\n\n"):
+    # A chunk between two blank lines is most often one block as str() writes it.  The
+    # text's last breaks go first, or the last chunk would end in an empty line.
+    for chunk in text.rstrip("\n").split("\n\n"):
         if chunk[:1] == "\n":  # blank lines past the first: the chunk starts after them
             line_no += len(chunk) - len(chunk := chunk.lstrip("\n"))
         breaks = chunk.count("\n")

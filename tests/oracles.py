@@ -4,11 +4,17 @@ Each one models the reader's memory literally, as a store or a stack, and
 records its size at every unit.  They share no code with depload or
 stackdepth, so an agreement between the two is evidence for both.  Tests
 and the bench's workload builder import them; the CLI never runs them.
+The two histogram builders at the end are the tables the CLI must report
+for a list of profiles, computed from the whole list at once.
 """
 
 from __future__ import annotations
 
-from memload.stats import DepthProfile
+from collections import Counter
+from itertools import chain
+from typing import Iterable
+
+from memload.stats import DepthProfile, Histogram
 from memload.treebank import ConstituencyTree, DependencySentence
 
 
@@ -47,7 +53,7 @@ def stack_oracle_depths(tree: ConstituencyTree) -> DepthProfile:
     stack = [tree]
     while stack:
         node = stack.pop()
-        if node.is_leaf:
+        if not node.children:
             values.append(len(stack))
         else:
             stack.extend(reversed(node.children))
@@ -70,8 +76,18 @@ def grouped_stack_oracle_depths(tree: ConstituencyTree) -> DepthProfile:
             if len(entry) > 1:
                 stack.append(entry[1:])
             stack.append(entry[0])
-        elif entry.is_leaf:
+        elif not entry.children:
             values.append(len(stack))
         else:
             stack.append(tuple(entry.children))  # one group; the next pop splits off the first
     return DepthProfile(tuple(values))
+
+
+def unit_histogram(profiles: Iterable[DepthProfile]) -> Histogram:
+    """Frequencies over every individual value in the profiles."""
+    return Histogram(Counter(chain.from_iterable(p.values for p in profiles)))
+
+
+def sentence_histogram(profiles: Iterable[DepthProfile]) -> Histogram:
+    """Frequencies over each profile's maximum; empty profiles count at 0."""
+    return Histogram(Counter(max(p.values, default=0) for p in profiles))

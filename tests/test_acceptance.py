@@ -23,16 +23,17 @@ from anchors import (
     WORD_TOTAL,
     YNGVE_WORD_BINS,
 )
-from oracles import grouped_stack_oracle_depths, load_profile_oracle, stack_oracle_depths
+from oracles import (
+    grouped_stack_oracle_depths,
+    load_profile_oracle,
+    sentence_histogram,
+    stack_oracle_depths,
+    unit_histogram,
+)
 from memload.cli import RunConfig, run
 from memload.depload import load_profile
 from memload.stackdepth import MetricConfig, NumberingScheme, word_depths
-from memload.stats import (
-    Histogram,
-    sentence_histogram,
-    threshold_report,
-    unit_histogram,
-)
+from memload.stats import Histogram, threshold_report
 from memload.treebank import normalize_tree, parse_dep_corpus, parse_ptb_corpus
 
 DATA = Path(__file__).parent / "data"

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 import memload
 import treegen
+from oracles import sentence_histogram, unit_histogram
 from memload import (
     EmptyAfterNormalization, MetricConfig, cli, load_profile, normalize_tree, np_depths,
-    parse_dep_corpus, parse_ptb_corpus, render, sentence_histogram, unit_histogram, word_depths,
+    parse_dep_corpus, parse_ptb_corpus, render, word_depths,
 )
 from memload.cli import METHODS, RunConfig, main, run
 
@@ -98,6 +99,20 @@ def test_np_methods(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["total_units"] == 2
+
+
+@pytest.mark.parametrize("method", ["yngve-np", "sampson-np"])
+def test_a_sentence_without_a_unit_counts_once_at_zero(tmp_path, capsys, method):
+    corpus = tmp_path / "no_np.ptb"
+    corpus.write_text("(S (V run))\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "--input", str(corpus), "--format", "ptb", "--method", method, "--output", "json",
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["unit_histogram"] == {}
+    assert payload["sentence_histogram"] == {"0": 1}
 
 
 def test_csv_output_with_threshold_comments(capsys):

@@ -7,21 +7,20 @@ import pytest
 import treegen
 from oracles import load_profile_oracle
 from memload.depload import LeftwardHead, ensure_rightward, load_profile
-from memload.treebank import DependencySentence
 
 
 def profile_of(heads: list[int]) -> tuple[int, ...]:
-    return load_profile(DependencySentence.from_heads(heads)).values
+    return load_profile(treegen.from_heads(heads)).values
 
 
 def test_walkthrough_sentence():
-    sentence = DependencySentence.from_heads(
+    sentence = treegen.from_heads(
         [2, 5, 4, 5, 0],
         ["sono", "shounen-wa", "chiisai", "ningyou-wo", "motteiru"],
     )
     assert load_profile(sentence).values == (1, 1, 2, 2, 0)
     assert load_profile_oracle(sentence).values == (1, 1, 2, 2, 0)
-    assert load_profile(sentence).sentence_max == 2
+    assert max(load_profile(sentence).values) == 2
 
 
 def test_walkthrough_pending_set_after_step_four():
@@ -119,7 +118,7 @@ def test_rightward_sentences_stay_loaded_until_the_end():
 def test_rightward_corpus_zero_bin_equals_sentence_count():
     import random
 
-    from memload.stats import unit_histogram
+    from oracles import unit_histogram
 
     rng = random.Random(13)
     profiles = [
@@ -130,7 +129,7 @@ def test_rightward_corpus_zero_bin_equals_sentence_count():
 
 
 def test_ensure_rightward_raises_with_offenders():
-    sentence = DependencySentence.from_heads([0, 1])
+    sentence = treegen.from_heads([0, 1])
     with pytest.raises(LeftwardHead) as info:
         ensure_rightward(sentence)
     assert "[2]" in str(info.value)
@@ -138,6 +137,6 @@ def test_ensure_rightward_raises_with_offenders():
 
 def test_ensure_rightward_accepts_root_anywhere():
     # head 0 is the root marker, not a leftward link.
-    ensure_rightward(DependencySentence.from_heads([0]))
-    ensure_rightward(DependencySentence.from_heads([2, 0]))
-    ensure_rightward(DependencySentence.from_heads([3, 3, 0]))
+    ensure_rightward(treegen.from_heads([0]))
+    ensure_rightward(treegen.from_heads([2, 0]))
+    ensure_rightward(treegen.from_heads([3, 3, 0]))

@@ -66,9 +66,7 @@ PUBLIC_NAMES = {
     "parse_dep_corpus",
     "parse_ptb_corpus",
     "render",
-    "sentence_histogram",
     "threshold_report",
-    "unit_histogram",
     "word_depths",
 }
 
@@ -114,7 +112,7 @@ def test_modules_are_pinned():
 
 
 def test_public_constructors_store_tuples():
-    w, v = ConstituencyTree.word("w"), ConstituencyTree.word("v")
+    w, v = ConstituencyTree(surface="w"), ConstituencyTree(surface="v")
     units, children, values = [DependencyUnit(1, "a", 0)], [w], [1, 0]
     bins = {3: 1, 0: 2}
     sentence = DependencySentence(units)
@@ -128,7 +126,7 @@ def test_public_constructors_store_tuples():
     assert sentence.units == (DependencyUnit(1, "a", 0),) and len(sentence) == 1
     assert tree.children == (w,) and profile.values == (1, 0)
     assert list(histogram.bins.items()) == [(0, 2), (3, 1)] and histogram.total == 3
-    assert hash(sentence) == hash(DependencySentence.from_heads([0], ["a"]))
+    assert hash(sentence) == hash(DependencySentence((DependencyUnit(1, "a", 0),)))
     assert hash(profile) == hash(DepthProfile((1, 0)))
     assert hash(histogram) == hash(Histogram({0: 2, 3: 1}))
 
@@ -142,7 +140,7 @@ def test_measured_profiles_equal_constructed_ones():
         memload.load_profile(sentence),
         memload.word_depths(tree, config),
         memload.np_depths(tree, config),
-        memload.np_depths(ConstituencyTree.phrase("S", [ConstituencyTree.word("w")]), config),
+        memload.np_depths(ConstituencyTree("S", [ConstituencyTree(surface="w")]), config),
     ]
     for profile in measured:
         built = DepthProfile(list(profile.values))
@@ -155,10 +153,10 @@ def test_measured_profiles_equal_constructed_ones():
 
 
 RECORDS = [
-    (ConstituencyTree.word("w"), "surface"),
-    (ConstituencyTree.phrase("S", [ConstituencyTree.word("w")]), "children"),
+    (ConstituencyTree(surface="w"), "surface"),
+    (ConstituencyTree("S", [ConstituencyTree(surface="w")]), "children"),
     (DependencyUnit(1, "w", 0), "head"),
-    (DependencySentence.from_heads([0]), "units"),
+    (DependencySentence([DependencyUnit(1, "w1", 0)]), "units"),
     (DepthProfile((1, 0)), "values"),
     (Histogram({0: 1}), "bins"),
     (MetricConfig(NumberingScheme.YNGVE), "scheme"),
@@ -253,4 +251,4 @@ def test_readme_library_example_gives_its_commented_values():
         value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
         assert value == expected
         checked += 1
-    assert checked == 3
+    assert checked == 4

@@ -13,9 +13,7 @@ from memload.stats import (
     ThresholdReport,
     UnsupportedFormat,
     render,
-    sentence_histogram,
     threshold_report,
-    unit_histogram,
 )
 
 from anchors import (
@@ -28,6 +26,7 @@ from anchors import (
     WORD_TOTAL,
     YNGVE_WORD_BINS,
 )
+from oracles import sentence_histogram, unit_histogram
 
 WALKTHROUGH = DepthProfile((1, 1, 2, 2, 0))
 

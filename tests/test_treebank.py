@@ -66,7 +66,7 @@ def reference_read(text: str) -> list:
 
 
 def as_nested(tree: ConstituencyTree):
-    if tree.is_leaf:
+    if not tree.children:
         return tree.surface
     return [tree.label] + [as_nested(child) for child in tree.children]
 
@@ -243,7 +243,7 @@ def test_deeply_nested_tree():
     assert leaf_surfaces(tree) == ["w"]
     assert tree.to_bracketed() == text
     levels = 0
-    while not tree.is_leaf:
+    while tree.children:
         assert tree.label == "S" and len(tree.children) == 1
         tree = tree.children[0]
         levels += 1
@@ -296,8 +296,8 @@ def test_eq_hash_repr_match_the_dataclass_ones():
     )
     for tree, other in zip(trees, trees[1:] + trees[:1]):
         [copy] = parse_ptb_corpus(tree.to_bracketed())
-        near = ConstituencyTree.phrase(
-            tree.label, tree.children[:-1] + (ConstituencyTree.word("zz"),)
+        near = ConstituencyTree(
+            tree.label, tree.children[:-1] + (ConstituencyTree(surface="zz"),)
         )
         # One more leaf under the last internal node in preorder: the two
         # preorder runs agree up to that node.
@@ -311,7 +311,7 @@ def test_eq_hash_repr_match_the_dataclass_ones():
         assert tree != tree.children[0] != tree
         assert hash(tree) == hash(repr(tree)) == hash(copy)
         assert repr(tree) == repr(mirror(tree)).replace("TreeMirror(", "ConstituencyTree(")
-    assert ConstituencyTree.word("w").__eq__("w") is NotImplemented
+    assert ConstituencyTree(surface="w").__eq__("w") is NotImplemented
 
 
 def test_leaves_with_one_surface_are_one_shared_leaf():
@@ -330,9 +330,11 @@ def test_leaves_with_one_surface_are_one_shared_leaf():
 
 
 def test_parsed_trees_with_shared_leaves_match_built_ones():
-    word, phrase = ConstituencyTree.word, ConstituencyTree.phrase
-    the_dog = [phrase("NP", [word("the"), word("dog")])]
-    built = phrase("S", the_dog + [phrase("VP", [word("saw")] + the_dog)])
+    def word(surface):
+        return ConstituencyTree(surface=surface)
+
+    the_dog = [ConstituencyTree("NP", [word("the"), word("dog")])]
+    built = ConstituencyTree("S", the_dog + [ConstituencyTree("VP", [word("saw")] + the_dog)])
     trees = [built] + treegen.random_trees(seed=44, count=200, max_depth=5, max_branching=4)
     parsed = parse_ptb_corpus("\n".join(tree.to_bracketed() for tree in trees))
     assert parsed[0].children[0].children[0] is parsed[0].children[1].children[1].children[0]
@@ -437,13 +439,13 @@ PTB_TOKENS = st.text(
     max_size=5,
 ).filter(lambda token: not any(c.isspace() for c in token))
 PTB_TREES = st.builds(
-    ConstituencyTree.phrase,
+    ConstituencyTree,
     PTB_TOKENS,
     st.lists(
         st.recursive(
-            st.builds(ConstituencyTree.word, PTB_TOKENS),
+            st.builds(ConstituencyTree, surface=PTB_TOKENS),
             lambda kids: st.builds(
-                ConstituencyTree.phrase, PTB_TOKENS, st.lists(kids, min_size=1, max_size=4)
+                ConstituencyTree, PTB_TOKENS, st.lists(kids, min_size=1, max_size=4)
             ),
             max_leaves=30,
         ),
@@ -461,11 +463,11 @@ def test_ptb_round_trip(tree):
 
 def test_tree_constructor_invariants():
     with pytest.raises(ValueError):
-        ConstituencyTree(label="", children=(ConstituencyTree.word("w"),))
+        ConstituencyTree(label="", children=(ConstituencyTree(surface="w"),))
     with pytest.raises(ValueError):
         ConstituencyTree(label="X")
     with pytest.raises(ValueError):
-        ConstituencyTree(label="X", children=(ConstituencyTree.word("w"),), surface="y")
+        ConstituencyTree(label="X", children=(ConstituencyTree(surface="w"),), surface="y")
 
 
 def test_parse_dep_example():
@@ -668,7 +670,7 @@ def dep_sentences(draw, max_units: int = 30) -> DependencySentence:
         head = 0 if i == root else draw(st.integers(1, n - 1))
         heads.append(head + (head >= i))
     surfaces = draw(st.lists(DEP_SURFACES, min_size=n, max_size=n))
-    return DependencySentence.from_heads(heads, surfaces)
+    return treegen.from_heads(heads, surfaces)
 
 
 @settings(max_examples=200, deadline=None)
@@ -678,7 +680,7 @@ def test_dep_round_trip(sentences):
 
 
 def test_from_heads_builds_surfaces():
-    sentence = DependencySentence.from_heads([2, 0])
+    sentence = treegen.from_heads([2, 0])
     assert [u.surface for u in sentence.units] == ["w1", "w2"]
 
 
@@ -895,7 +897,7 @@ def test_per_line_errors_carry_no_exception_context(text, error):
 def test_a_numeral_int_reads_gives_the_same_sentence():
     # 300 units in a chain: unit i depends on unit i + 1, the last is the root.
     heads = [*range(2, 301), 0]
-    canonical = treegen.dep_text([DependencySentence.from_heads(heads)])
+    canonical = treegen.dep_text([treegen.from_heads(heads)])
     assert "\n6\tw6\t7\n" in canonical
     odd = canonical.replace("\n6\tw6\t7\n", "\n6\tw6\t007\n")
     assert parse_dep_corpus(odd) == parse_dep_corpus(canonical)
@@ -904,8 +906,8 @@ def test_a_numeral_int_reads_gives_the_same_sentence():
 
 
 def test_a_long_block_after_a_short_one_reads_as_it_does_alone():
-    short = DependencySentence.from_heads([0])
-    long = DependencySentence.from_heads([*range(2, 251), 0])
+    short = treegen.from_heads([0])
+    long = treegen.from_heads([*range(2, 251), 0])
     together = parse_dep_corpus(treegen.dep_text([short, long]))  # the numerals grow mid-call
     alone = parse_dep_corpus(treegen.dep_text([long]))
     assert together == [short, long] and alone == [long]
@@ -915,7 +917,7 @@ def test_a_long_block_after_a_short_one_reads_as_it_does_alone():
 def test_the_reader_keeps_no_memory_after_it_returns():
     # Its numeral table for a 5,000-unit block, about 1 MB, goes with the call.
     parse_dep_corpus("1\tw\t0\n")  # whatever the reader loads once, it loads here
-    text = treegen.dep_text([DependencySentence.from_heads([*range(2, 5001), 0])])
+    text = treegen.dep_text([treegen.from_heads([*range(2, 5001), 0])])
     tracemalloc.start()
     try:
         parse_dep_corpus(text)
@@ -926,7 +928,8 @@ def test_the_reader_keeps_no_memory_after_it_returns():
 
 
 def dep_variants(text: str) -> dict[str, str]:
-    """A written corpus, and its blocks with CRLF breaks, a comment each, or two blank lines."""
+    """A written corpus, and its blocks with CRLF breaks, a comment each, or two blank lines,
+    and it without its last break or with a blank line after it."""
     blocks = text.removesuffix("\n").split("\n\n")
     headed = (f"# sent_id = {k}\n{block}" for k, block in enumerate(blocks))
     return {
@@ -934,6 +937,8 @@ def dep_variants(text: str) -> dict[str, str]:
         "crlf": text.replace("\n", "\r\n"),
         "sent_id": "\n\n".join(headed) + "\n",
         "two blank lines": "\n\n\n".join(blocks) + "\n",
+        "no last break": text.removesuffix("\n"),
+        "trailing blank line": text + "\n",
     }
 
 
@@ -951,13 +956,25 @@ def read_counting_units(monkeypatch, text: str, **kwargs) -> tuple[list, list[tu
     return sentences, built
 
 
-@pytest.mark.parametrize("variant", ["as written", "crlf", "sent_id", "two blank lines"])
+@pytest.mark.parametrize(
+    "variant",
+    ["as written", "crlf", "sent_id", "two blank lines", "no last break", "trailing blank line"],
+)
 def test_a_written_corpus_is_read_in_bulk(monkeypatch, variant):
-    # A block that fell to the line walk would build one DependencyUnit per line.
+    # A block that fell to the line walk would build one DependencyUnit per line, and
+    # one that failed its first bulk read would be read in bulk a second time.
     text = treegen.random_dep_text(seed=20, n_sentences=300)
+    blocks, read_bulk = [], treebank._read_bulk
+
+    def counted(block, *args):
+        blocks.append(block)
+        return read_bulk(block, *args)
+
+    monkeypatch.setattr(treebank, "_read_bulk", counted)
     sentences, built = read_counting_units(monkeypatch, dep_variants(text)[variant])
     assert built == []
     assert sentences == treegen.random_dep_sentences(seed=20, count=300, max_len=25)
+    assert len(blocks) == 300
 
 
 @pytest.mark.parametrize("variant", ["as written", "crlf", "sent_id", "two blank lines"])
@@ -1138,6 +1155,6 @@ def test_normalized_trees_have_no_empty_internal_nodes():
         stack = [cleaned]
         while stack:
             node = stack.pop()
-            if not node.is_leaf:
-                assert node.children
-                stack.extend(node.children)
+            # Only a labeled node has children, and it has at least one.
+            assert bool(node.children) == bool(node.label) != bool(node.surface)
+            stack.extend(node.children)

@@ -6,7 +6,7 @@ import itertools
 import random
 from typing import Iterable, Iterator, Sequence
 
-from memload.treebank import ConstituencyTree, DependencySentence
+from memload.treebank import ConstituencyTree, DependencySentence, DependencyUnit
 
 PLAIN_LABELS = ("S", "NP", "VP", "PP", "SBAR", "ADJP", "ADVP", "DT", "N", "V", "J", "P")
 COORD_LABELS = PLAIN_LABELS + ("CC", "CONJP", ",")
@@ -24,21 +24,26 @@ def random_tree(
 ) -> ConstituencyTree:
     def build(depth: int) -> ConstituencyTree:
         if depth >= max_depth or rng.random() < leaf_prob:
-            return ConstituencyTree.word(rng.choice(WORDS))
+            return ConstituencyTree(surface=rng.choice(WORDS))
         width = rng.randint(1, max_branching)
-        return ConstituencyTree.phrase(
-            rng.choice(labels), [build(depth + 1) for _ in range(width)]
-        )
+        return ConstituencyTree(rng.choice(labels), [build(depth + 1) for _ in range(width)])
 
     node = build(0)
-    if node.is_leaf:
-        node = ConstituencyTree.phrase(rng.choice(labels), [node])
+    if not node.children:
+        node = ConstituencyTree(rng.choice(labels), [node])
     return node
 
 
 def random_trees(seed: int, count: int, **kwargs) -> list[ConstituencyTree]:
     rng = random.Random(seed)
     return [random_tree(rng, **kwargs) for _ in range(count)]
+
+
+def from_heads(heads: Sequence[int], surfaces: Sequence[str] | None = None) -> DependencySentence:
+    """The sentence with these heads; its surfaces default to w1..wn."""
+    if surfaces is None:
+        surfaces = [f"w{i}" for i in range(1, len(heads) + 1)]
+    return DependencySentence(map(DependencyUnit, itertools.count(1), surfaces, heads))
 
 
 def random_dep_sentence(rng: random.Random, max_len: int = 40) -> DependencySentence:
@@ -48,7 +53,7 @@ def random_dep_sentence(rng: random.Random, max_len: int = 40) -> DependencySent
         0 if i == root else rng.choice([h for h in range(1, n + 1) if h != i])
         for i in range(1, n + 1)
     ]
-    return DependencySentence.from_heads(heads)
+    return from_heads(heads)
 
 
 def random_dep_sentences(
@@ -61,7 +66,7 @@ def random_dep_sentences(
 def rightward_dep_sentence(rng: random.Random, max_len: int = 40) -> DependencySentence:
     n = rng.randint(1, max_len)
     heads = [rng.randint(i + 1, n) for i in range(1, n)] + [0]
-    return DependencySentence.from_heads(heads)
+    return from_heads(heads)
 
 
 def all_dep_sentences(n: int) -> Iterator[DependencySentence]:
@@ -72,7 +77,7 @@ def all_dep_sentences(n: int) -> Iterator[DependencySentence]:
             for i in range(1, n + 1)
         ]
         for heads in itertools.product(*choice_lists):
-            yield DependencySentence.from_heads(heads)
+            yield from_heads(heads)
 
 
 def random_ptb_text(seed: int, n_sentences: int) -> str:
