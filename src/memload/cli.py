@@ -215,7 +215,7 @@ def _tally(text: str, config: RunConfig) -> tuple[Histogram, Histogram, int, int
 
     for sentence in sentences:
         try:
-            batch.append(measure(sentence).values)
+            batch.append(measure(sentence))
         except (LeftwardHead, EmptyAfterNormalization):
             if config.strict:
                 raise

@@ -7,7 +7,6 @@ per-step count of such pending units is the load the sentence imposes.
 
 from __future__ import annotations
 
-from .stats import DepthProfile, _profile
 from .treebank import DependencySentence, TreebankError
 
 __all__ = ["LeftwardHead", "load_profile", "ensure_rightward"]
@@ -17,8 +16,8 @@ class LeftwardHead(TreebankError):
     """A non-root unit points at an earlier unit (head index below its own)."""
 
 
-def load_profile(sentence: DependencySentence) -> DepthProfile:
-    """Pending-unit count after reading each of the n units.
+def load_profile(sentence: DependencySentence) -> tuple[int, ...]:
+    """Pending-unit count after reading each of the n units, as a tuple.
 
     The value at position i is the number of units j <= i whose head lies
     strictly beyond i.  The root counts as resolving at the final position,
@@ -39,7 +38,7 @@ def load_profile(sentence: DependencySentence) -> DepthProfile:
             ends[resolved_at] += 1
         pending -= ends[i]
         values.append(pending)
-    return _profile(tuple(values))
+    return tuple(values)
 
 
 def ensure_rightward(sentence: DependencySentence) -> None:

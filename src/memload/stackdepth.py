@@ -16,7 +16,6 @@ from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
 
-from .stats import DepthProfile, _profile
 from .treebank import ConstituencyTree
 
 __all__ = ["COORDINATOR_LABELS", "NumberingScheme", "MetricConfig", "word_depths", "np_depths"]
@@ -51,7 +50,7 @@ class MetricConfig(NamedTuple):
     maximal_np: bool = False
 
 
-def _walk_depths(tree: ConstituencyTree, config: MetricConfig, measure_nps: bool) -> DepthProfile:
+def _walk_depths(tree: ConstituencyTree, config: MetricConfig, measure_nps: bool) -> tuple[int, ...]:
     """Path-sum depths of the measured units, in preorder.
 
     Walks an explicit stack of (node, depth, inside an NP), so tree height
@@ -92,18 +91,18 @@ def _walk_depths(tree: ConstituencyTree, config: MetricConfig, measure_nps: bool
         for child in reversed(children):
             stack.append((child, child_depth, inside_np))
             child_depth = child_depth + 1 if yngve else depth + 1
-    return _profile(tuple(values))
+    return tuple(values)
 
 
-def word_depths(tree: ConstituencyTree, config: MetricConfig) -> DepthProfile:
-    """Path-sum depth of each word, left to right."""
+def word_depths(tree: ConstituencyTree, config: MetricConfig) -> tuple[int, ...]:
+    """Path-sum depth of each word, left to right, as a tuple."""
     return _walk_depths(tree, config, measure_nps=False)
 
 
-def np_depths(tree: ConstituencyTree, config: MetricConfig) -> DepthProfile:
-    """Path-sum depth of each measured NP node, in preorder.
+def np_depths(tree: ConstituencyTree, config: MetricConfig) -> tuple[int, ...]:
+    """Path-sum depth of each measured NP node, in preorder, as a tuple.
 
     The sum stops at the NP itself; material inside the phrase charges
-    nothing.  A tree without any NP yields an empty profile.
+    nothing.  A tree without any NP gives ().
     """
     return _walk_depths(tree, config, measure_nps=True)

@@ -1,16 +1,15 @@
-"""Per-sentence load profiles, and their frequency tables and reports."""
+"""Frequency tables over load profiles, each a tuple of ints, and their reports."""
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .treebank import _Record
 
 __all__ = [
     "DEFAULT_THRESHOLDS",
     "UnsupportedFormat",
-    "DepthProfile",
     "Histogram",
     "ThresholdReport",
     "threshold_report",
@@ -24,31 +23,6 @@ _THRESHOLD_KEYS = "threshold units_over units_fraction sentences_over sentences_
 
 class UnsupportedFormat(ValueError):
     """Requested report format is not one of text, csv, or json."""
-
-
-class DepthProfile(_Record):
-    """Load values for one sentence, one per measured unit, in reading order."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Iterable[int]) -> None:
-        values = tuple(values)
-        if values and min(values) < 0:
-            raise ValueError("load values cannot be negative")
-        _set_values(self, values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-_set_values = DepthProfile.values.__set__
-
-
-def _profile(values: tuple[int, ...]) -> DepthProfile:
-    """A profile built unchecked; the metric walks give no negative value."""
-    profile = object.__new__(DepthProfile)
-    _set_values(profile, values)
-    return profile
 
 
 class Histogram(_Record):

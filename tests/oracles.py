@@ -5,20 +5,25 @@ records its size at every unit.  They share no code with depload or
 stackdepth, so an agreement between the two is evidence for both.  Tests
 and the bench's workload builder import them; the CLI never runs them.
 The two histogram builders at the end are the tables the CLI must report
-for a list of profiles, computed from the whole list at once.
+for a list of load profiles, computed from the whole list at once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from memload.stats import DepthProfile, Histogram
+from memload.stats import Histogram
 from memload.treebank import ConstituencyTree, DependencySentence
 
 
-def load_profile_oracle(sentence: DependencySentence) -> DepthProfile:
+class OracleProfile(NamedTuple):
+    """An oracle's load values; the bench's workload builder reads them as .values."""
+    values: tuple[int, ...]
+
+
+def load_profile_oracle(sentence: DependencySentence) -> OracleProfile:
     """Reference implementation that simulates the pending store explicitly.
 
     Reading unit i first discharges every stored unit headed by i, then
@@ -38,10 +43,10 @@ def load_profile_oracle(sentence: DependencySentence) -> DepthProfile:
         if i == n:
             store.clear()
         values.append(len(store))
-    return DepthProfile(tuple(values))
+    return OracleProfile(tuple(values))
 
 
-def stack_oracle_depths(tree: ConstituencyTree) -> DepthProfile:
+def stack_oracle_depths(tree: ConstituencyTree) -> OracleProfile:
     """Word depths from a literal top-down push-down simulation.
 
     The stack starts with the root; popping an internal node pushes its
@@ -57,10 +62,10 @@ def stack_oracle_depths(tree: ConstituencyTree) -> DepthProfile:
             values.append(len(stack))
         else:
             stack.extend(reversed(node.children))
-    return DepthProfile(tuple(values))
+    return OracleProfile(tuple(values))
 
 
-def grouped_stack_oracle_depths(tree: ConstituencyTree) -> DepthProfile:
+def grouped_stack_oracle_depths(tree: ConstituencyTree) -> OracleProfile:
     """Word depths from a simulation storing right siblings as one item.
 
     Expanding a node pushes all its non-leftmost children as a single
@@ -80,14 +85,14 @@ def grouped_stack_oracle_depths(tree: ConstituencyTree) -> DepthProfile:
             values.append(len(stack))
         else:
             stack.append(tuple(entry.children))  # one group; the next pop splits off the first
-    return DepthProfile(tuple(values))
+    return OracleProfile(tuple(values))
 
 
-def unit_histogram(profiles: Iterable[DepthProfile]) -> Histogram:
+def unit_histogram(profiles: Iterable[tuple[int, ...]]) -> Histogram:
     """Frequencies over every individual value in the profiles."""
-    return Histogram(Counter(chain.from_iterable(p.values for p in profiles)))
+    return Histogram(Counter(chain.from_iterable(profiles)))
 
 
-def sentence_histogram(profiles: Iterable[DepthProfile]) -> Histogram:
+def sentence_histogram(profiles: Iterable[tuple[int, ...]]) -> Histogram:
     """Frequencies over each profile's maximum; empty profiles count at 0."""
-    return Histogram(Counter(max(p.values, default=0) for p in profiles))
+    return Histogram(Counter(max(values, default=0) for values in profiles))

@@ -10,7 +10,7 @@ from memload.depload import LeftwardHead, ensure_rightward, load_profile
 
 
 def profile_of(heads: list[int]) -> tuple[int, ...]:
-    return load_profile(treegen.from_heads(heads)).values
+    return load_profile(treegen.from_heads(heads))
 
 
 def test_walkthrough_sentence():
@@ -18,9 +18,9 @@ def test_walkthrough_sentence():
         [2, 5, 4, 5, 0],
         ["sono", "shounen-wa", "chiisai", "ningyou-wo", "motteiru"],
     )
-    assert load_profile(sentence).values == (1, 1, 2, 2, 0)
+    assert load_profile(sentence) == (1, 1, 2, 2, 0)
     assert load_profile_oracle(sentence).values == (1, 1, 2, 2, 0)
-    assert max(load_profile(sentence).values) == 2
+    assert max(load_profile(sentence)) == 2
 
 
 def test_walkthrough_pending_set_after_step_four():
@@ -62,7 +62,7 @@ def test_exhaustive_agreement_up_to_six_units():
     checked = 0
     for n in range(1, 7):
         for sentence in treegen.all_dep_sentences(n):
-            assert load_profile(sentence) == load_profile_oracle(sentence)
+            assert load_profile(sentence) == load_profile_oracle(sentence).values
             checked += 1
     assert checked == sum(
         n * (n - 1) ** (n - 1) for n in range(1, 7)
@@ -71,13 +71,13 @@ def test_exhaustive_agreement_up_to_six_units():
 
 def test_random_agreement_long_sentences():
     for sentence in treegen.random_dep_sentences(seed=7, count=1000, max_len=40):
-        assert load_profile(sentence) == load_profile_oracle(sentence)
+        assert load_profile(sentence) == load_profile_oracle(sentence).values
 
 
 def test_random_agreement_dep_long_shape():
     # Up to 200 units, as in the benchmark's dep-long corpus.
     for sentence in treegen.random_dep_sentences(seed=11, count=300, max_len=200):
-        assert load_profile(sentence) == load_profile_oracle(sentence)
+        assert load_profile(sentence) == load_profile_oracle(sentence).values
 
 
 def test_long_sentence_closed_forms():
@@ -93,13 +93,13 @@ def test_long_sentence_closed_forms():
 
 def test_final_value_always_zero():
     for sentence in treegen.random_dep_sentences(seed=8, count=300):
-        assert load_profile(sentence).values[-1] == 0
+        assert load_profile(sentence)[-1] == 0
 
 
 def test_step_delta_at_most_one_up():
     # Reading one unit can add at most one pending unit.
     for sentence in treegen.random_dep_sentences(seed=9, count=300):
-        values = load_profile(sentence).values
+        values = load_profile(sentence)
         assert all(b - a <= 1 for a, b in zip(values, values[1:]))
 
 
@@ -110,7 +110,7 @@ def test_rightward_sentences_stay_loaded_until_the_end():
     for _ in range(200):
         sentence = treegen.rightward_dep_sentence(rng, max_len=30)
         ensure_rightward(sentence)
-        values = load_profile(sentence).values
+        values = load_profile(sentence)
         assert all(v >= 1 for v in values[:-1])
         assert values[-1] == 0
 

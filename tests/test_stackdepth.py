@@ -48,7 +48,7 @@ def numbers(labels, scheme, adjust=True) -> list[int]:
     Each child holds exactly one word, so the words' depths are the numbers.
     """
     tree = ConstituencyTree("X", list(map(one_word, labels)))
-    return list(word_depths(tree, config(scheme, adjust)).values)
+    return list(word_depths(tree, config(scheme, adjust)))
 
 
 def test_branch_numbers_two_children():
@@ -153,17 +153,17 @@ def test_adjustment_never_raises_a_number():
 
 def test_word_depths_example_yngve():
     profile = word_depths(tree_of(EXAMPLE), config(YNGVE))
-    assert profile.values == (2, 1, 1, 2, 1, 0)
-    assert max(profile.values) == 2
+    assert profile == (2, 1, 1, 2, 1, 0)
+    assert max(profile) == 2
 
 
 def test_word_depths_example_sampson():
     profile = word_depths(tree_of(EXAMPLE), config(SAMPSON))
-    assert profile.values == (2, 1, 1, 1, 1, 0)
+    assert profile == (2, 1, 1, 1, 1, 0)
 
 
 def test_word_depths_single_chain():
-    assert word_depths(tree_of("(S (X (Y (N w))))"), config(YNGVE)).values == (0,)
+    assert word_depths(tree_of("(S (X (Y (N w))))"), config(YNGVE)) == (0,)
 
 
 def test_word_depths_with_adjustment_on_plain_tree_unchanged():
@@ -176,8 +176,8 @@ def test_word_depths_with_adjustment_on_plain_tree_unchanged():
 def test_word_depths_coordination_adjustment():
     text = "(S (NP (N x)) (VP (V eats) (NP (NP (N rice)) (CC and) (NP (N fish)))))"
     tree = tree_of(text)
-    plain = word_depths(tree, config(YNGVE)).values
-    adjusted = word_depths(tree, config(YNGVE, adjust=True)).values
+    plain = word_depths(tree, config(YNGVE))
+    adjusted = word_depths(tree, config(YNGVE, adjust=True))
     # Plain numbering charges "rice" two pending siblings (CC and the second
     # conjunct); grouped it charges one, and the coordinator itself drops to
     # 0 because only whole groups to its right count.
@@ -202,11 +202,11 @@ def test_deep_chains_do_not_recurse():
     chain = tree_of("(S " * depth + "(N w)" + ")" * depth)
     np_chain = tree_of("(NP " * depth + "(N w)" + ")" * depth)
     for scheme in (YNGVE, SAMPSON):
-        assert word_depths(chain, config(scheme)).values == (0,)
-        assert word_depths(np_chain, config(scheme)).values == (0,)
-        assert np_depths(chain, config(scheme)).values == ()
-        assert np_depths(np_chain, config(scheme)).values == (0,) * depth
-        assert np_depths(np_chain, config(scheme, maximal_np=True)).values == (0,)
+        assert word_depths(chain, config(scheme)) == (0,)
+        assert word_depths(np_chain, config(scheme)) == (0,)
+        assert np_depths(chain, config(scheme)) == ()
+        assert np_depths(np_chain, config(scheme)) == (0,) * depth
+        assert np_depths(np_chain, config(scheme, maximal_np=True)) == (0,)
 
 
 def np_stack_oracle(tree) -> tuple[int, ...]:
@@ -248,8 +248,8 @@ def test_np_depths_match_the_stack_machines():
     )
     measured = 0
     for tree in trees:
-        yngve = np_depths(tree, config(YNGVE)).values
-        sampson = np_depths(tree, config(SAMPSON)).values
+        yngve = np_depths(tree, config(YNGVE))
+        sampson = np_depths(tree, config(SAMPSON))
         assert yngve == np_stack_oracle(tree)
         assert sampson == np_grouped_stack_oracle(tree)
         measured += len(yngve) + len(sampson)
@@ -258,8 +258,8 @@ def test_np_depths_match_the_stack_machines():
 
 def test_oracles_match_unadjusted_depths_on_random_trees():
     for tree in treegen.random_trees(seed=31, count=400, max_depth=7):
-        assert word_depths(tree, config(YNGVE)) == stack_oracle_depths(tree)
-        assert word_depths(tree, config(SAMPSON)) == grouped_stack_oracle_depths(tree)
+        assert word_depths(tree, config(YNGVE)) == stack_oracle_depths(tree).values
+        assert word_depths(tree, config(SAMPSON)) == grouped_stack_oracle_depths(tree).values
 
 
 def test_yngve_dominates_sampson_pointwise():
@@ -268,8 +268,8 @@ def test_yngve_dominates_sampson_pointwise():
     )
     for tree in trees:
         for adjust in (False, True):
-            y = word_depths(tree, config(YNGVE, adjust=adjust)).values
-            s = word_depths(tree, config(SAMPSON, adjust=adjust)).values
+            y = word_depths(tree, config(YNGVE, adjust=adjust))
+            s = word_depths(tree, config(SAMPSON, adjust=adjust))
             assert len(y) == len(s)
             assert all(a >= b for a, b in zip(y, s))
 
@@ -280,8 +280,8 @@ def test_adjusted_depths_never_exceed_unadjusted():
     )
     for tree in trees:
         for scheme in (YNGVE, SAMPSON):
-            plain = word_depths(tree, config(scheme)).values
-            adjusted = word_depths(tree, config(scheme, adjust=True)).values
+            plain = word_depths(tree, config(scheme))
+            adjusted = word_depths(tree, config(scheme, adjust=True))
             assert all(a <= p for a, p in zip(adjusted, plain))
 
 
@@ -292,15 +292,15 @@ def test_last_word_depth_is_zero_in_every_config():
     for tree in trees:
         for scheme in (YNGVE, SAMPSON):
             for adjust in (False, True):
-                assert word_depths(tree, config(scheme, adjust=adjust)).values[-1] == 0
+                assert word_depths(tree, config(scheme, adjust=adjust))[-1] == 0
 
 
 def test_depth_zero_words_agree_between_schemes_unadjusted():
     # Both schemes give 0 exactly on the all-rightmost path, so their zero
     # positions coincide; without coordination that is only the last word.
     for tree in treegen.random_trees(seed=35, count=300, max_depth=7):
-        y = word_depths(tree, config(YNGVE)).values
-        s = word_depths(tree, config(SAMPSON)).values
+        y = word_depths(tree, config(YNGVE))
+        s = word_depths(tree, config(SAMPSON))
         zeros_y = [i for i, v in enumerate(y) if v == 0]
         zeros_s = [i for i, v in enumerate(s) if v == 0]
         assert zeros_y == zeros_s == [len(y) - 1]
@@ -308,18 +308,18 @@ def test_depth_zero_words_agree_between_schemes_unadjusted():
 
 def test_np_depths_example():
     profile = np_depths(tree_of(EXAMPLE), config(YNGVE))
-    assert profile.values == (1, 0)
-    assert max(profile.values) == 1
+    assert profile == (1, 0)
+    assert max(profile) == 1
 
 
 def test_np_depths_without_np():
     profile = np_depths(tree_of("(S (V run))"), config(YNGVE))
-    assert profile.values == ()
-    assert max(profile.values, default=0) == 0
+    assert profile == ()
+    assert max(profile, default=0) == 0
 
 
 def test_np_depth_at_root_is_zero():
-    assert np_depths(tree_of("(NP (N w))"), config(YNGVE)).values == (0,)
+    assert np_depths(tree_of("(NP (N w))"), config(YNGVE)) == (0,)
 
 
 NESTED_NP = "(S (NP (NP (N w)) (PP (P of) (NP (N x)))) (V v))"
@@ -329,14 +329,14 @@ def test_np_depths_all_selector_counts_nested():
     profile = np_depths(tree_of(NESTED_NP), config(YNGVE))
     # Outer NP sits under the S with one pending sibling; the first inner NP
     # adds its own pending PP; the NP inside the PP adds nothing new.
-    assert profile.values == (1, 2, 1)
+    assert profile == (1, 2, 1)
 
 
 def test_np_depths_maximal_selector_skips_nested():
     profile = np_depths(
         tree_of(NESTED_NP), config(YNGVE, maximal_np=True)
     )
-    assert profile.values == (1,)
+    assert profile == (1,)
 
 
 def test_np_depth_ignores_material_inside_the_phrase():
@@ -345,15 +345,15 @@ def test_np_depth_ignores_material_inside_the_phrase():
         tree_of("(S (NP (DT the) (J big) (J red) (N w)) (V v))"),
         config(YNGVE),
     )
-    assert small.values == big.values == (1,)
+    assert small == big == (1,)
 
 
 def test_np_depths_sampson_scheme():
     text = "(S (A a) (B b) (NP (N w)))"
-    assert np_depths(tree_of(text), config(YNGVE)).values == (0,)
+    assert np_depths(tree_of(text), config(YNGVE)) == (0,)
     text2 = "(S (NP (N w)) (A a) (B b))"
-    assert np_depths(tree_of(text2), config(YNGVE)).values == (2,)
-    assert np_depths(tree_of(text2), config(SAMPSON)).values == (1,)
+    assert np_depths(tree_of(text2), config(YNGVE)) == (2,)
+    assert np_depths(tree_of(text2), config(SAMPSON)) == (1,)
 
 
 def test_coordinator_labels_are_exactly_cc_and_conjp():

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from memload.stats import (
-    DepthProfile,
     Histogram,
     ThresholdReport,
     UnsupportedFormat,
@@ -28,18 +27,7 @@ from anchors import (
 )
 from oracles import sentence_histogram, unit_histogram
 
-WALKTHROUGH = DepthProfile((1, 1, 2, 2, 0))
-
-
-@pytest.mark.parametrize("values", [(-1,), (3, -2, 0), (0, 0, -1)])
-def test_depth_profile_rejects_negative_values(values):
-    with pytest.raises(ValueError, match="^load values cannot be negative$"):
-        DepthProfile(values)
-
-
-@pytest.mark.parametrize("values", [(), (0,), (2, 0, 1)])
-def test_depth_profile_keeps_non_negative_values(values):
-    assert DepthProfile(values).values is values
+WALKTHROUGH = (1, 1, 2, 2, 0)
 
 
 def test_unit_histogram_walkthrough():
@@ -57,7 +45,7 @@ def test_unit_histogram_empty():
 
 
 def test_unit_histogram_many_profiles():
-    histogram = unit_histogram([DepthProfile((0,)), DepthProfile((1, 0))])
+    histogram = unit_histogram([(0,), (1, 0)])
     assert histogram.bins == {0: 2, 1: 1}
     assert histogram.total == 3
 
@@ -67,7 +55,7 @@ def test_sentence_histogram_walkthrough():
 
 
 def test_sentence_histogram_bins_empty_profiles_at_zero():
-    profiles = [DepthProfile((2, 1, 0)), DepthProfile((1, 0)), DepthProfile(())]
+    profiles = [(2, 1, 0), (1, 0), ()]
     histogram = sentence_histogram(profiles)
     assert histogram.bins == {0: 1, 1: 1, 2: 1}
     assert histogram.total == 3
@@ -76,8 +64,7 @@ def test_sentence_histogram_bins_empty_profiles_at_zero():
 def test_totals_count_units_and_sentences():
     rng = random.Random(5)
     profiles = [
-        DepthProfile(tuple(rng.randrange(6) for _ in range(rng.randint(0, 12))))
-        for _ in range(100)
+        tuple(rng.randrange(6) for _ in range(rng.randint(0, 12))) for _ in range(100)
     ]
     assert unit_histogram(profiles).total == sum(len(p) for p in profiles)
     assert sentence_histogram(profiles).total == 100
