@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 from .depload import LeftwardHead, ensure_rightward, load_profile
 from .stackdepth import MetricConfig, NumberingScheme, np_depths, word_depths
-from .stats import DEFAULT_THRESHOLDS, OUTPUT_FORMATS, Histogram, render
+from .stats import DEFAULT_THRESHOLDS, OUTPUT_FORMATS, render
 from .treebank import (
     EmptyAfterNormalization,
     TreebankError,
@@ -181,8 +181,8 @@ def _parse_thresholds(text: str) -> tuple[int, ...]:
     raise InvalidConfig(f"--thresholds wants comma-separated integers, got {text!r}")
 
 
-def _tally(text: str, config: RunConfig) -> tuple[Histogram, Histogram, int, int]:
-    """Parse and measure every sentence; returns unit and maximum histograms, attempted, skipped."""
+def _tally(text: str, config: RunConfig) -> tuple[Counter[int], Counter[int], int, int]:
+    """Parse and measure every sentence; returns unit and maximum tables, attempted, skipped."""
     method = METHODS[config.method]
     # Classes, not exceptions: a raised one's traceback ties the reader's frame into a cycle.
     errors: list[type[TreebankError]] = []
@@ -224,7 +224,7 @@ def _tally(text: str, config: RunConfig) -> tuple[Histogram, Histogram, int, int
         if len(batch) == _BATCH:
             count()
     count()
-    return Histogram(units), Histogram(maxima), len(sentences) + len(errors), skipped
+    return units, maxima, len(sentences) + len(errors), skipped
 
 
 def run(config: RunConfig) -> int:

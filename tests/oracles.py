@@ -14,7 +14,6 @@ from collections import Counter
 from itertools import chain
 from typing import Iterable, NamedTuple
 
-from memload.stats import Histogram
 from memload.treebank import ConstituencyTree, DependencySentence
 
 
@@ -88,11 +87,11 @@ def grouped_stack_oracle_depths(tree: ConstituencyTree) -> OracleProfile:
     return OracleProfile(tuple(values))
 
 
-def unit_histogram(profiles: Iterable[tuple[int, ...]]) -> Histogram:
+def unit_histogram(profiles: Iterable[tuple[int, ...]]) -> Counter[int]:
     """Frequencies over every individual value in the profiles."""
-    return Histogram(Counter(chain.from_iterable(profiles)))
+    return Counter(chain.from_iterable(profiles))
 
 
-def sentence_histogram(profiles: Iterable[tuple[int, ...]]) -> Histogram:
+def sentence_histogram(profiles: Iterable[tuple[int, ...]]) -> Counter[int]:
     """Frequencies over each profile's maximum; empty profiles count at 0."""
-    return Histogram(Counter(max(values, default=0) for values in profiles))
+    return Counter(max(values, default=0) for values in profiles)

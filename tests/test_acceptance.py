@@ -33,7 +33,7 @@ from oracles import (
 from memload.cli import RunConfig, run
 from memload.depload import load_profile
 from memload.stackdepth import MetricConfig, NumberingScheme, word_depths
-from memload.stats import Histogram, threshold_report
+from memload.stats import render
 from memload.treebank import normalize_tree, parse_dep_corpus, parse_ptb_corpus
 
 DATA = Path(__file__).parent / "data"
@@ -105,11 +105,11 @@ def test_criterion_4_conservation():
             profiles = [word_depths(t, config(scheme, adjust)) for t in plain_trees]
             units = unit_histogram(profiles)
             sentences = sentence_histogram(profiles)
-            assert units.total == n_words
-            assert sentences.total == len(plain_trees)
-            assert units.bins[0] == len(plain_trees)
-            totals.add(units.total)
-            zero_bins.add(units.bins[0])
+            assert units.total() == n_words
+            assert sentences.total() == len(plain_trees)
+            assert units[0] == len(plain_trees)
+            totals.add(units.total())
+            zero_bins.add(units[0])
     assert len(totals) == 1 and len(zero_bins) == 1
 
     # With coordinators in the label pool the unadjusted schemes still bin
@@ -124,9 +124,9 @@ def test_criterion_4_conservation():
         adjusted = unit_histogram(
             word_depths(t, config(scheme, adjust=True)) for t in coord_trees
         )
-        assert plain.bins[0] == len(coord_trees)
-        assert adjusted.bins[0] >= len(coord_trees)
-        assert plain.total == adjusted.total
+        assert plain[0] == len(coord_trees)
+        assert adjusted[0] >= len(coord_trees)
+        assert plain.total() == adjusted.total()
 
     # Published anchors: totals and shared bin 0 of the two word tables.
     assert sum(YNGVE_WORD_BINS.values()) == WORD_TOTAL
@@ -135,10 +135,13 @@ def test_criterion_4_conservation():
 
 
 def test_criterion_5_threshold_fixtures():
-    dep = threshold_report(Histogram(DEP_UNIT_BINS), [9])
-    assert dep.exceed_counts == (3,)
-    words = threshold_report(Histogram(SAMPSON_WORD_BINS), [5])
-    assert words.exceed_counts == (311,)
+    # Read from the report the CLI prints, not from a separate computation.
+    def units_over(bins, threshold):
+        report = json.loads(render(bins, {}, "json", thresholds=[threshold]))
+        return [row["units_over"] for row in report["thresholds"]]
+
+    assert units_over(DEP_UNIT_BINS, 9) == [3]
+    assert units_over(SAMPSON_WORD_BINS, 5) == [311]
 
 
 def test_criterion_6_dominance():
@@ -175,8 +178,8 @@ def test_criterion_7_real_treebank_gate():
     trees = [normalize_tree(t) for t in parse_ptb_corpus(text, on_error=lambda e: None)]
     profiles = [word_depths(t, config(YNGVE)) for t in trees]
     units = unit_histogram(profiles)
-    assert abs(units.total - WORD_TOTAL) <= 0.02 * WORD_TOTAL
-    assert units.bins[0] == sentence_histogram(profiles).total
+    assert abs(units.total() - WORD_TOTAL) <= 0.02 * WORD_TOTAL
+    assert units[0] == sentence_histogram(profiles).total()
 
 
 def test_criterion_7_synthetic_scale(tmp_path, capsys):

@@ -125,7 +125,7 @@ def test_rightward_corpus_zero_bin_equals_sentence_count():
         load_profile(treegen.rightward_dep_sentence(rng, max_len=25))
         for _ in range(250)
     ]
-    assert unit_histogram(profiles).bins[0] == 250
+    assert unit_histogram(profiles)[0] == 250
 
 
 def test_ensure_rightward_raises_with_offenders():
