@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import accumulate, chain, compress, count
-from operator import eq, is_, not_
+from itertools import accumulate, chain, count
+from operator import eq, is_
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -436,6 +436,7 @@ def _dep_sentence(heads: tuple[int, ...], surfaces: tuple[str, ...]) -> Dependen
 # str.splitlines' line breaks besides "\n".  Once each "\r\n" is one "\n", making each of
 # these a "\n" too keeps every line and its number: then "\n" alone splits the text.
 _BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_SPACE_LINE = re.compile(r"\n[^\S\n]+(?=\n)")  # a line of only whitespace, after its break
 _COMMENT = re.compile(r"\n#.*")  # a comment line and the break before it
 
 
@@ -455,33 +456,26 @@ def parse_dep_corpus(
     numerals, values = [], {}  # numerals[i] == str(i), values[str(i)] == i: the numeral table
     if any(map(text.__contains__, _BREAKS)):
         text = text.replace("\r\n", "\n").translate(dict.fromkeys(map(ord, _BREAKS), "\n"))
-    line_no = 1  # the next chunk's first line
-    # A chunk between two blank lines is most often one block as str() writes it.  The
+    # Every blank line made empty (a sub that finds no match costs a search and copies
+    # nothing).  The "\n" put before the text ends a line 0, so line 1 follows it.
+    text = _SPACE_LINE.sub("\n", f"\n{text}\n")
+    line_no = 0  # the next chunk's first line
+    # A chunk between two blank lines is one block, most often as str() writes it.  The
     # text's last breaks go first, or the last chunk would end in an empty line.
     for chunk in text.rstrip("\n").split("\n\n"):
-        if chunk[:1] == "\n":  # blank lines past the first: the chunk starts after them
+        if chunk[:1] == "\n":  # line 0, or blank lines past the first: the chunk starts after them
             line_no += len(chunk) - len(chunk := chunk.lstrip("\n"))
         breaks = chunk.count("\n")
         first, line_no = line_no, line_no + breaks + 2  # past its lines and the blank line after
-        sentence = _read_bulk(chunk, breaks + 1, numerals, values)
-        if sentence is not None:
-            sentences.append(sentence)
-            continue
-        lines = (chunk + "\n").split("\n")  # its runs of non-blank lines; a last "" closes one
-        start = 0
-        # The blank lines: str.strip leaves "" exactly where a line is empty or all whitespace.
-        for end in compress(count(), map(not_, map(str.strip, lines))):
-            if end > start:
-                block = lines[start:end]
-                try:
-                    sentence = _read_bulk("\n".join(block), end - start, numerals, values)
-                    sentences += _walk(block, first + start) if sentence is None else (sentence,)
-                except DepFormatError as exc:
-                    if on_error is None:
-                        raise
-                    # Its traceback holds this frame, and so on_error and whatever keeps exc.
-                    on_error(exc.with_traceback(None))
-            start = end + 1
+        try:
+            sentence = _read_bulk(chunk, breaks + 1, numerals, values)
+            # "\n" is the one break left, and a chunk "" between two blank lines has no line.
+            sentences += _walk(chunk.splitlines(), first) if sentence is None else (sentence,)
+        except DepFormatError as exc:
+            if on_error is None:
+                raise
+            # Its traceback holds this frame, and so on_error and whatever keeps exc.
+            on_error(exc.with_traceback(None))
     return sentences
 
 

@@ -11,6 +11,7 @@ import re
 import sys
 import tracemalloc
 from dataclasses import dataclass
+from itertools import cycle
 
 import pytest
 from hypothesis import given, settings
@@ -815,7 +816,7 @@ def dep_texts(draw) -> str:
             comment = draw(st.sampled_from([None] * 6 + ["# note", "#\t1\tw\t0"]))
             parts += [comment] if comment else []
             parts.append("\t".join(draw(st.sampled_from(shapes))))
-        separator = st.sampled_from(["", "", " ", "\t", "\xa0", "\u3000 "])
+        separator = st.sampled_from(["", "", " ", "\t", "\x1f", "\xa0", "\u3000 "])
         parts += draw(st.lists(separator, min_size=1, max_size=3))
     line_breaks = st.sampled_from(["\n"] * len(LINE_BREAKS) + LINE_BREAKS)
     breaks = draw(st.lists(line_breaks, min_size=len(parts), max_size=len(parts)))
@@ -858,6 +859,8 @@ def test_dep_reader_agrees_with_the_per_line_reference(text):
         ("1\ta\t0\x85# c\x852\tb\n", "field(s)", 3),
         ("# c\n\n1\ta\t1.0\n", "integers", 3),
         ("1\ta\t0\n\n# c\n1\ta\n", "field(s)", 4),  # a comment heads the block
+        (" \n1\t\tx\n", "integers", 2),  # a whitespace-only first line
+        ("1\ta\t0\n\x1f\n1\ta\n", "field(s)", 3),  # "\x1f" is whitespace, not a line break
     ],
 )
 def test_dep_malformed_line_is_found_after_the_bulk_parse(text, error, line_no):
@@ -928,15 +931,18 @@ def test_the_reader_keeps_no_memory_after_it_returns():
 
 
 def dep_variants(text: str) -> dict[str, str]:
-    """A written corpus, and its blocks with CRLF breaks, a comment each, or two blank lines,
-    and it without its last break or with a blank line after it."""
+    """A written corpus, and its blocks with CRLF breaks, a comment each, two blank lines or
+    whitespace-only ones between them, and it without its last break or with a blank line
+    after it."""
     blocks = text.removesuffix("\n").split("\n\n")
     headed = (f"# sent_id = {k}\n{block}" for k, block in enumerate(blocks))
+    spaced = (f"\n{space}\n{block}" for space, block in zip(cycle(" \t\x1f\u3000"), blocks[1:]))
     return {
         "as written": text,
         "crlf": text.replace("\n", "\r\n"),
         "sent_id": "\n\n".join(headed) + "\n",
         "two blank lines": "\n\n\n".join(blocks) + "\n",
+        "whitespace blank lines": blocks[0] + "".join(spaced) + "\n",
         "no last break": text.removesuffix("\n"),
         "trailing blank line": text + "\n",
     }
@@ -958,7 +964,15 @@ def read_counting_units(monkeypatch, text: str, **kwargs) -> tuple[list, list[tu
 
 @pytest.mark.parametrize(
     "variant",
-    ["as written", "crlf", "sent_id", "two blank lines", "no last break", "trailing blank line"],
+    [
+        "as written",
+        "crlf",
+        "sent_id",
+        "two blank lines",
+        "whitespace blank lines",
+        "no last break",
+        "trailing blank line",
+    ],
 )
 def test_a_written_corpus_is_read_in_bulk(monkeypatch, variant):
     # A block that fell to the line walk would build one DependencyUnit per line, and
@@ -977,7 +991,9 @@ def test_a_written_corpus_is_read_in_bulk(monkeypatch, variant):
     assert len(blocks) == 300
 
 
-@pytest.mark.parametrize("variant", ["as written", "crlf", "sent_id", "two blank lines"])
+@pytest.mark.parametrize(
+    "variant", ["as written", "crlf", "sent_id", "two blank lines", "whitespace blank lines"]
+)
 def test_a_malformed_line_walks_its_own_block_only(monkeypatch, variant):
     sentences = treegen.random_dep_sentences(seed=21, count=200, max_len=25)
     k = next(k for k in range(100, 200) if len(sentences[k]) >= 3)  # a block mid-corpus
