@@ -236,8 +236,6 @@ def run(config: RunConfig) -> int:
     try:
         try:
             text = Path(config.input_path).read_text(encoding="utf-8")
-            if "\ufeff" in text:  # a mark at the start of any line, as `cat` of marked files leaves
-                text = "".join(line.removeprefix("\ufeff") for line in text.splitlines(keepends=True))
         except (OSError, UnicodeDecodeError) as exc:
             _say(f"cannot read input: {exc}")
             return 1

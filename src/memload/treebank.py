@@ -10,8 +10,7 @@ hand each error to a callback and skip the sentence.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from itertools import accumulate, chain, count
+from itertools import chain, count
 from operator import eq, is_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -220,6 +219,17 @@ def _node(label: str, children: tuple, surface: str = "") -> ConstituencyTree:
     return node
 
 
+# str.splitlines' other breaks: once each "\r\n" is one "\n", a "\n" for each keeps every line.
+_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _lines(text: str) -> str:
+    """text with each line break one "\n", and one byte-order mark at each line's start dropped."""
+    if any(map(text.__contains__, _BREAKS)):
+        text = text.replace("\r\n", "\n").translate(dict.fromkeys(map(ord, _BREAKS), "\n"))
+    return text.replace("\n\ufeff", "\n").removeprefix("\ufeff") if "\ufeff" in text else text
+
+
 _TOKEN_RE = re.compile(r"[()]|[^()\s]+")
 # About 64K characters and the rest of the last token: a piece ends at whitespace.
 _PIECE_RE = re.compile(r"[\s\S]{1,65536}\S*")
@@ -230,48 +240,52 @@ def parse_ptb_corpus(
 ) -> list[ConstituencyTree]:
     """Parse every top-level bracketed tree in text.
 
-    Whitespace and line breaks between tokens are free.  An unlabeled outer
-    wrapper "( ... )" around one or more trees is unwrapped.  With the
-    default on_error=None the first malformed sentence raises; with a
-    callback each error is reported to it and the sentence skipped.  Leaves
-    with the same surface are one shared leaf.
+    Whitespace between tokens is free; lines break where str.splitlines breaks
+    them and lose one leading byte-order mark.  An unlabeled outer wrapper
+    "( ... )" around one or more trees is unwrapped.  With on_error=None the
+    first malformed sentence raises; with a callback each error is reported to
+    it and the sentence skipped.  Leaves with the same surface are one shared leaf.
     """
+    text = _lines(text)
     trees: list[ConstituencyTree] = []
     leaves: dict[str, ConstituencyTree] = {}
-    # Open nodes, outermost first, as [label, children, index of "("].  The
-    # label is None until its token arrives and "" for an unlabeled wrapper,
-    # whose children are the trees it holds.
+    # Open nodes, outermost first, as [label, children, index of "("].  The label is None until
+    # its token arrives and "" for an unlabeled wrapper, whose children are the trees it holds.
     stack: list[list] = []
-    # The first error found inside the open top-level group, reported when the
-    # group closes.  Only that group is skipped, so one bad sentence cannot
-    # poison the rest of the file.
-    error: tuple[type[PtbParseError], str, int] | None = None
-    line_starts: list[int] = []
-    # Errors are reported in token order, so one pass finds all their offsets.
-    matches = enumerate(_TOKEN_RE.finditer(text))
-
-    def report(kind: type[PtbParseError], message: str, index: int) -> None:
-        if not line_starts:
-            # Number lines exactly as str.splitlines does.
-            line_starts.extend(accumulate(map(len, text.splitlines(keepends=True)), initial=0))
-        offset = next(match.start() for k, match in matches if k == index)
-        line = bisect_right(line_starts, offset)
-        where = line, offset - line_starts[line - 1] + 1
-        if on_error is None:
-            # Not held in a local: this frame, on the traceback, would keep it in a cycle.
-            raise kind(message, *where)
-        on_error(kind(message, *where))
-
     # _TOKEN_RE's matches (str.split and \s agree on whitespace), piece by piece.
     pieces = (m.group().replace("(", " ( ").replace(")", " ) ") for m in _PIECE_RE.finditer(text))
-    for index, token in enumerate(chain.from_iterable(map(str.split, pieces))):
+    tokens = enumerate(chain.from_iterable(map(str.split, pieces)))
+    # Errors are reported in token order, so one pass finds all their offsets and lines.
+    matches = enumerate(_TOKEN_RE.finditer(text))
+    line, line_start = 1, 0  # the last reported error's line, and the offset it starts at
+
+    def report(kind: type[PtbParseError], message: str, index: int) -> None:
+        nonlocal line, line_start
+        offset = next(match.start() for k, match in matches if k == index)
+        line += text.count("\n", line_start, offset)
+        line_start = max(line_start, text.rfind("\n", line_start, offset) + 1)
+        if on_error is None:
+            # Not held in a local: this frame, on the traceback, would keep it in a cycle.
+            raise kind(message, line, offset - line_start + 1)
+        on_error(kind(message, line, offset - line_start + 1))
+
+    def skip(kind: type[PtbParseError], message: str, index: int) -> None:
+        """Drop the open top-level group, unbuilt, and report its first fault where it closes."""
+        depth = len(stack)
+        while depth and (token := next(tokens, (0, None))[1]) is not None:
+            depth += (token == "(") - (token == ")")
+        if not depth:  # else the text ends inside the group, and "unclosed '('" reports it
+            stack.clear()
+            report(kind, message, index)
+
+    for index, token in tokens:
         if token == "(":
-            if stack and stack[-1][0] is None:
-                if len(stack) == 1:
-                    stack[0][0] = ""
-                else:
-                    error = error or (PtbParseError, "node without a label", stack[-1][2])
             stack.append([None, [], index])
+            if len(stack) > 1 and stack[-2][0] is None:  # a "(" where a label should be
+                if len(stack) > 2:
+                    skip(PtbParseError, "node without a label", stack[-2][2])
+                else:
+                    stack[0][0] = ""
         elif not stack:
             if token == ")":
                 report(UnbalancedBrackets, "unmatched ')'", index)
@@ -281,29 +295,22 @@ def parse_ptb_corpus(
             node = stack[-1]
             if node[0] is None:
                 node[0] = token
-            elif error:  # the group is skipped: nothing after its first error is built
-                pass
             elif node[0]:
                 node[1].append(leaves.get(token) or leaves.setdefault(token, _node("", (), token)))
             else:
                 message = f"surface token {token!r} directly under an unlabeled wrapper"
-                error = LeafWithoutLabel, message, index
+                skip(LeafWithoutLabel, message, index)
         else:
             label, children, start = stack.pop()
-            if error:
-                pass
-            elif label is None:
-                error = EmptyTree, "empty node", start
+            if label is None:
+                skip(EmptyTree, "empty node", start)
             elif not children:
-                error = EmptyTree, f"node {label!r} has no children", start
+                skip(EmptyTree, f"node {label!r} has no children", start)
             elif label:
                 parent = stack[-1][1] if stack else trees
                 parent.append(_node(label, tuple(children)))
             else:
                 trees.extend(children)
-            if error and not stack:
-                report(*error)
-                error = None
     if stack:
         report(UnbalancedBrackets, "unclosed '('", stack[0][2])
     return trees
@@ -433,9 +440,6 @@ def _dep_sentence(heads: tuple[int, ...], surfaces: tuple[str, ...]) -> Dependen
     return sentence
 
 
-# str.splitlines' line breaks besides "\n".  Once each "\r\n" is one "\n", making each of
-# these a "\n" too keeps every line and its number: then "\n" alone splits the text.
-_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _SPACE_LINE = re.compile(r"\n[^\S\n]+(?=\n)")  # a line of only whitespace, after its break
 _COMMENT = re.compile(r"\n#.*")  # a comment line and the break before it
 
@@ -445,20 +449,18 @@ def parse_dep_corpus(
 ) -> list[DependencySentence]:
     """Parse blank-line separated blocks of INDEX<TAB>SURFACE<TAB>HEAD lines.
 
-    Lines break where str.splitlines breaks them, a line of only whitespace
-    is blank, and lines starting with "#" are ignored.  Index and head are
-    read as int() reads them: in bulk where a block is written as str()
-    writes it, else line by line.  With the default on_error=None the first
-    malformed sentence raises; with a callback each error is reported to it
-    and the sentence skipped.
+    Lines break where str.splitlines breaks them and lose one leading
+    byte-order mark, a line of only whitespace is blank, and lines starting
+    with "#" are ignored.  Index and head are read as int() reads them: in
+    bulk where a block is written as str() writes it, else line by line.
+    With the default on_error=None the first malformed sentence raises; with
+    a callback each error is reported to it and the sentence skipped.
     """
     sentences: list[DependencySentence] = []
     numerals, values = [], {}  # numerals[i] == str(i), values[str(i)] == i: the numeral table
-    if any(map(text.__contains__, _BREAKS)):
-        text = text.replace("\r\n", "\n").translate(dict.fromkeys(map(ord, _BREAKS), "\n"))
     # Every blank line made empty (a sub that finds no match costs a search and copies
     # nothing).  The "\n" put before the text ends a line 0, so line 1 follows it.
-    text = _SPACE_LINE.sub("\n", f"\n{text}\n")
+    text = _SPACE_LINE.sub("\n", f"\n{_lines(text)}\n")
     line_no = 0  # the next chunk's first line
     # A chunk between two blank lines is one block, most often as str() writes it.  The
     # text's last breaks go first, or the last chunk would end in an empty line.

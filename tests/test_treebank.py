@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import treegen
 from memload import treebank
-from test_cli import LINE_BREAKS
+from test_cli import LINE_BREAKS, escaped
 from memload.treebank import (
     _TOKEN_RE,
     ConstituencyTree,
@@ -167,12 +167,65 @@ def test_nested_unlabeled_node_rejected():
         parse_ptb_corpus("(S ((N w)))")
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize(
+    "newline",
+    ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    ids=["lf", "crlf", "cr", "vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps"],
+)
 def test_error_position_on_later_line(newline):
     with pytest.raises(EmptyTree) as info:
         parse_ptb_corpus(f"(S (N a)){newline}(S (X) (N b))")
     assert info.value.line == 2
     assert info.value.column == 4
+
+
+def test_error_positions_across_reports_after_crlf_lines():
+    # Each report counts lines on from the one before it.
+    text = "\r\n".join(
+        ["(S (N a))", "(X)", "", "  () (S (N b)) )", "(S (N c) x", "  (N) () )", "", "(S"]
+    )
+    errors: list[PtbParseError] = []
+    trees = parse_ptb_corpus(text, on_error=errors.append)
+    assert [leaf_surfaces(t) for t in trees] == [["a"], ["b"]]
+    assert [(type(e), e.line, e.column) for e in errors] == [
+        (EmptyTree, 2, 1),
+        (EmptyTree, 4, 3),
+        (UnbalancedBrackets, 4, 16),
+        (EmptyTree, 6, 3),
+        (UnbalancedBrackets, 8, 1),
+    ]
+
+
+@pytest.mark.parametrize("newline", LINE_BREAKS, ids=escaped)
+def test_ptb_reader_drops_a_byte_order_mark_that_starts_a_line(newline):
+    # As the CLI reads `cat a.ptb b.ptb` of two marked files.
+    plain = parse_ptb_corpus("(S (N a)) (S (N b))")
+    assert parse_ptb_corpus(f"(S (N a)){newline}\ufeff(S (N b))") == plain
+    text = newline.join(["\ufeff(S (N a))", "\ufeff(S (N b)) (\ufeffX)", "\ufeff ( (S (N c)) )"])
+    errors: list[PtbParseError] = []
+    trees = parse_ptb_corpus(text, on_error=errors.append)
+    assert [leaf_surfaces(t) for t in trees] == [["a"], ["b"], ["c"]]
+    # A mark anywhere else in a line is text: here, part of a label.
+    assert [str(e) for e in errors] == [r"node '\ufeffX' has no children (line 2, column 11)"]
+
+
+@pytest.mark.parametrize("newline", LINE_BREAKS, ids=escaped)
+def test_dep_reader_drops_a_byte_order_mark_that_starts_a_line(newline):
+    text = newline.join(["{0}1\ta\t0", "{0}", "{0}1\tb\t2", "{0}2\t{0}c\t0", "{0}#", ""])
+    assert parse_dep_corpus(text.format("\ufeff")) == parse_dep_corpus(text.format(""))[:1] + [
+        DependencySentence([DependencyUnit(1, "b", 2), DependencyUnit(2, "\ufeffc", 0)])
+    ]
+    with pytest.raises(MalformedLine) as info:
+        parse_dep_corpus(f"1\ta\t0{newline}\ufeff\ufeff2\tb\t1")
+    assert info.value.line_no == 2  # a second mark is text: the index is not an integer
+
+
+def test_readers_drop_a_byte_order_mark_at_the_text_start():
+    assert parse_ptb_corpus("\ufeff(S (N a))") == parse_ptb_corpus("(S (N a))")
+    assert parse_dep_corpus("\ufeff1\ta\t0\n") == parse_dep_corpus("1\ta\t0\n")
+    with pytest.raises(EmptyTree) as info:
+        parse_ptb_corpus("\ufeff  (X)")
+    assert (info.value.line, info.value.column) == (1, 3)
 
 
 def test_on_error_skips_only_bad_sentences():
@@ -394,6 +447,30 @@ def test_split_tokens_are_the_token_regex_matches(text):
     assert _TOKEN_RE.findall(text) == ptb_split(text)
 
 
+def splitlines_tokens(text: str) -> list[tuple[str, int, int]]:
+    """Each token of text with its line and column: lines as str.splitlines numbers them,
+    each without one byte-order mark at its start."""
+    return [
+        (match.group(), number, match.start() + 1)
+        for number, line in enumerate(text.splitlines(), start=1)
+        for match in _TOKEN_RE.finditer(line.removeprefix("\ufeff"))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["(", ")", "a", "NP", "\ufeff", *WHITESPACE])).map("".join))
+def test_error_positions_are_the_splitlines_positions(text):
+    tokens = splitlines_tokens(text)
+    # The same tokens one to a line: there an error's line is one more than its token's index.
+    one_per_line = "".join(f" {token}\n" for token, _, _ in tokens)
+    errors: list[PtbParseError] = []
+    indexed: list[PtbParseError] = []
+    parse_ptb_corpus(text, on_error=errors.append)
+    parse_ptb_corpus(one_per_line, on_error=indexed.append)
+    assert [type(e) for e in errors] == [type(e) for e in indexed]
+    assert [(e.line, e.column) for e in errors] == [tokens[e.line - 1][1:] for e in indexed]
+
+
 @pytest.mark.parametrize("shift", range(2, 37, 2))
 def test_tokens_across_the_piece_boundary(shift):
     # The reader splits the text in pieces of about 64K characters; move
@@ -417,6 +494,13 @@ def test_tokens_across_the_piece_boundary(shift):
         ("\u3000", [(1, 11), (1, 16)]),  # whitespace that breaks no line
         ("\xa0", [(1, 11), (1, 16)]),
         ("\u2003", [(1, 11), (1, 16)]),
+        ("\v", [(2, 1), (4, 1)]),
+        ("\f", [(2, 1), (4, 1)]),
+        ("\x1c", [(2, 1), (4, 1)]),
+        ("\x1d", [(2, 1), (4, 1)]),
+        ("\x1e", [(2, 1), (4, 1)]),
+        ("\u2029", [(2, 1), (4, 1)]),
+        ("\r\n", [(2, 1), (4, 1)]),
     ],
 )
 def test_error_columns_after_unicode_whitespace(space, positions):
