@@ -440,7 +440,7 @@ def _dep_sentence(heads: tuple[int, ...], surfaces: tuple[str, ...]) -> Dependen
     return sentence
 
 
-_SPACE_LINE = re.compile(r"\n[^\S\n]+(?=\n)")  # a line of only whitespace, after its break
+_SPACE_LINE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")  # a line of only whitespace, after a break
 _COMMENT = re.compile(r"\n#.*")  # a comment line and the break before it
 
 
@@ -458,21 +458,21 @@ def parse_dep_corpus(
     """
     sentences: list[DependencySentence] = []
     numerals, values = [], {}  # numerals[i] == str(i), values[str(i)] == i: the numeral table
-    # Every blank line made empty (a sub that finds no match costs a search and copies
-    # nothing).  The "\n" put before the text ends a line 0, so line 1 follows it.
-    text = _SPACE_LINE.sub("\n", f"\n{_lines(text)}\n")
-    line_no = 0  # the next chunk's first line
-    # A chunk between two blank lines is one block, most often as str() writes it.  The
-    # text's last breaks go first, or the last chunk would end in an empty line.
-    for chunk in text.rstrip("\n").split("\n\n"):
-        if chunk[:1] == "\n":  # line 0, or blank lines past the first: the chunk starts after them
+    line_no = 1  # the next chunk's first line
+    # Every blank line after a break made empty (a sub that finds no match returns its
+    # input), and the text cut where it lies, with no whole copy: a chunk between two
+    # blank lines is one block, most often as str() writes it.
+    for chunk in _SPACE_LINE.sub("\n", _lines(text)).split("\n\n"):
+        if chunk[:1] == "\n":  # blank lines past the first: the chunk starts after them
             line_no += len(chunk) - len(chunk := chunk.lstrip("\n"))
+        if not (chunk := chunk.rstrip("\n")):  # only the text's last chunk ends in breaks
+            line_no += 2  # "" between two cuts: two more blank lines
+            continue
         breaks = chunk.count("\n")
         first, line_no = line_no, line_no + breaks + 2  # past its lines and the blank line after
         try:
             sentence = _read_bulk(chunk, breaks + 1, numerals, values)
-            # "\n" is the one break left, and a chunk "" between two blank lines has no line.
-            sentences += _walk(chunk.splitlines(), first) if sentence is None else (sentence,)
+            sentences += _walk(chunk.split("\n"), first) if sentence is None else (sentence,)
         except DepFormatError as exc:
             if on_error is None:
                 raise
@@ -516,7 +516,7 @@ def _walk(block: list[str], first: int) -> tuple:
     """The sentence of non-blank lines numbered from first, read with int(); none if comments."""
     units = []  # the walk runs outside every handler, so no error it raises has a __context__
     for line_no, raw in enumerate(block, start=first):
-        if raw[0] == "#":
+        if raw[0] == "#" or raw.isspace():  # only the text's first line can still be blank
             continue
         fields = raw.split("\t")
         if len(fields) != 3:

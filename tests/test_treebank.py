@@ -944,6 +944,11 @@ def test_dep_reader_agrees_with_the_per_line_reference(text):
         ("# c\n\n1\ta\t1.0\n", "integers", 3),
         ("1\ta\t0\n\n# c\n1\ta\n", "field(s)", 4),  # a comment heads the block
         (" \n1\t\tx\n", "integers", 2),  # a whitespace-only first line
+        (" \n\n1\ta\n", "field(s)", 3),  # ... then a blank line
+        ("\t\n\n1\ta\t0\n2\tb\n", "field(s)", 4),
+        ("\u3000\r\n\r\n# c\r\n1\ta\tx\r\n", "integers", 4),
+        ("1\ta\t0\n2\tb\n \t", "field(s)", 2),  # a whitespace-only last line, no last break
+        ("1\ta\t0\n\n1\ta\n\n\u3000", "field(s)", 3),
         ("1\ta\t0\n\x1f\n1\ta\n", "field(s)", 3),  # "\x1f" is whitespace, not a line break
     ],
 )
@@ -1014,10 +1019,26 @@ def test_the_reader_keeps_no_memory_after_it_returns():
     assert held < 50_000
 
 
+@pytest.mark.parametrize("breaks", ["\n", "\r\n"], ids=["as written", "crlf"])
+def test_the_reader_cuts_the_text_where_it_lies(breaks):
+    # The chunks are one copy of the text, in pieces; any whole copy besides them would
+    # take the peak past 2x.
+    text = treegen.random_dep_text(41, 5000).replace("\n", breaks)
+    parse_dep_corpus("1\tw\t0\n")  # whatever the reader loads once, it loads here
+    tracemalloc.start()
+    try:
+        sentences = parse_dep_corpus(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sentences) == 5000
+    assert peak - held < 2 * len(text)
+
+
 def dep_variants(text: str) -> dict[str, str]:
-    """A written corpus, and its blocks with CRLF breaks, a comment each, two blank lines or
-    whitespace-only ones between them, and it without its last break or with a blank line
-    after it."""
+    """A written corpus, and its blocks with CRLF breaks, a comment each, two or three blank
+    lines or whitespace-only ones between them, and it without its last break or with a
+    blank line after it."""
     blocks = text.removesuffix("\n").split("\n\n")
     headed = (f"# sent_id = {k}\n{block}" for k, block in enumerate(blocks))
     spaced = (f"\n{space}\n{block}" for space, block in zip(cycle(" \t\x1f\u3000"), blocks[1:]))
@@ -1026,6 +1047,7 @@ def dep_variants(text: str) -> dict[str, str]:
         "crlf": text.replace("\n", "\r\n"),
         "sent_id": "\n\n".join(headed) + "\n",
         "two blank lines": "\n\n\n".join(blocks) + "\n",
+        "three blank lines": "\n\n\n\n".join(blocks) + "\n",
         "whitespace blank lines": blocks[0] + "".join(spaced) + "\n",
         "no last break": text.removesuffix("\n"),
         "trailing blank line": text + "\n",
@@ -1053,6 +1075,7 @@ def read_counting_units(monkeypatch, text: str, **kwargs) -> tuple[list, list[tu
         "crlf",
         "sent_id",
         "two blank lines",
+        "three blank lines",
         "whitespace blank lines",
         "no last break",
         "trailing blank line",
@@ -1076,7 +1099,15 @@ def test_a_written_corpus_is_read_in_bulk(monkeypatch, variant):
 
 
 @pytest.mark.parametrize(
-    "variant", ["as written", "crlf", "sent_id", "two blank lines", "whitespace blank lines"]
+    "variant",
+    [
+        "as written",
+        "crlf",
+        "sent_id",
+        "two blank lines",
+        "three blank lines",
+        "whitespace blank lines",
+    ],
 )
 def test_a_malformed_line_walks_its_own_block_only(monkeypatch, variant):
     sentences = treegen.random_dep_sentences(seed=21, count=200, max_len=25)
