@@ -52,7 +52,6 @@ METHODS = {
 }
 # In the order --help has always listed them: ptb first.
 FORMATS = tuple(dict.fromkeys(m.format for m in reversed(METHODS.values())))
-_BATCH = 4096  # sentences whose values _tally holds, then counts in C at once
 
 
 class InvalidConfig(ValueError):
@@ -204,27 +203,25 @@ def _tally(text: str, config: RunConfig) -> tuple[Counter[int], Counter[int], in
         def measure(tree):
             return depths(normalize_tree(tree, strip_punctuation=strip), metric)
 
-    skipped = len(errors)
-    units, maxima = Counter(), Counter()
-    batch: list[tuple[int, ...]] = []
+    maxima = Counter()
+    attempted = skipped = 0
 
-    def count() -> None:
-        units.update(chain.from_iterable(batch))
-        maxima.update(max(values, default=0) for values in batch)
-        batch.clear()
+    def measured():
+        nonlocal attempted, skipped
+        for attempted, sentence in enumerate(sentences, 1):
+            try:
+                values = measure(sentence)
+            except (LeftwardHead, EmptyAfterNormalization):
+                if config.strict:
+                    raise
+                skipped += 1
+                continue
+            maxima[max(values) if values else 0] += 1  # default=0 costs a keyword per call
+            yield values
 
-    for sentence in sentences:
-        try:
-            batch.append(measure(sentence))
-        except (LeftwardHead, EmptyAfterNormalization):
-            if config.strict:
-                raise
-            skipped += 1
-            continue
-        if len(batch) == _BATCH:
-            count()
-    count()
-    return units, maxima, len(sentences) + len(errors), skipped
+    units = Counter(chain.from_iterable(measured()))
+    # The reader reports its errors as it goes: read them only once it is done.
+    return units, maxima, attempted + len(errors), skipped + len(errors)
 
 
 def run(config: RunConfig) -> int:

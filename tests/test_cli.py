@@ -8,8 +8,10 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -444,8 +446,8 @@ TALLIED = {
         for tree in treegen.random_trees(seed=1701, count=300, labels=treegen.MESSY_LABELS)
     ),
     "dep": SKIPPED["dep-load"] + "\n" + treegen.random_dep_text(seed=1702, n_sentences=300),
-    # More sentences than cli._BATCH, which the tally counts at once; a bad block after the first.
-    "dep-batches": treegen.random_dep_text(seed=1703, n_sentences=4096) + "\n1\ta\n\n"
+    # Thousands of sentences, with a bad block after the first 4,096.
+    "dep-large": treegen.random_dep_text(seed=1703, n_sentences=4096) + "\n1\ta\n\n"
     + treegen.random_dep_text(seed=1704, n_sentences=904),
 }
 
@@ -454,7 +456,7 @@ TALLIED = {
 @pytest.mark.parametrize(
     "method, tallied",
     [pytest.param(method, METHODS[method].format, id=method) for method in METHODS]
-    + [pytest.param("dep-load", "dep-batches", id="dep-load-batches")],
+    + [pytest.param("dep-load", "dep-large", id="dep-load-large")],
 )
 def test_the_cli_tally_renders_what_the_library_histograms_render(
     tmp_path, capsys, method, tallied, fmt
@@ -463,7 +465,6 @@ def test_the_cli_tally_renders_what_the_library_histograms_render(
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(text, encoding="utf-8")
     profiles = library_profiles(text, method)
-    assert tallied != "dep-batches" or len(profiles) > cli._BATCH
     assert run(RunConfig(corpus, method, output_format=fmt, thresholds=(0, 3, 9))) == 0
     out, err = capsys.readouterr()
     assert out == render(
@@ -471,6 +472,76 @@ def test_the_cli_tally_renders_what_the_library_histograms_render(
         thresholds=(0, 3, 9),
     )
     assert err.startswith("memload: skipped ")
+
+
+def test_the_tally_holds_one_sentence_at_a_time(monkeypatch):
+    rng = random.Random(7)
+    sentences = [treegen.rightward_dep_sentence(rng, 100) for _ in range(5000)]
+    monkeypatch.setattr(cli, "parse_dep_corpus", lambda text, on_error=None: sentences)
+    tracemalloc.start()
+    try:
+        units, maxima, attempted, skipped = cli._tally("", RunConfig(Path("unused"), "dep-load"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(units.values()) == sum(len(sentence.heads) for sentence in sentences)
+    assert sum(maxima.values()) == 5000
+    assert (attempted, skipped) == (5000, 0)
+    assert peak < 250_000  # every sentence's values held at once take over 7x that
+
+
+def yielding(reader):
+    """The reader as a generator: its sentences one at a time, its errors after the last one."""
+    def read(text, on_error=None):
+        errors = []
+        yield from reader(text, on_error=on_error and errors.append)
+        for exc in errors:
+            on_error(exc)
+
+    return read
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["skip", "strict"])
+@pytest.mark.parametrize("method", METHODS)
+def test_a_reader_that_yields_is_tallied_as_one_that_returns_a_list(
+    tmp_path, capsys, monkeypatch, method, strict
+):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(TALLIED[METHODS[method].format], encoding="utf-8")
+    config = RunConfig(corpus, method, strict=strict)
+    reports = []
+    for wrap in (False, True):
+        if wrap:
+            monkeypatch.setattr(cli, "parse_dep_corpus", yielding(parse_dep_corpus))
+            monkeypatch.setattr(cli, "parse_ptb_corpus", yielding(parse_ptb_corpus))
+        reports.append((run(config), *capsys.readouterr()))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == strict
+    assert reports[0][2].startswith("memload: " if strict else "memload: skipped ")
+
+
+@pytest.mark.parametrize(
+    "fmt, method, text, flags, message",
+    [
+        ("ptb", "yngve-word", "(S (-NONE- *T*))\n(NP (N a)) )\n", [],
+         "unmatched ')' (line 2, column 12)"),
+        ("dep", "dep-load", "1\ta\t0\n2\tb\t1\n\n1\tx\n", ["--strict-rightward"],
+         "expected INDEX<TAB>SURFACE<TAB>HEAD, got 2 field(s) (line 4)"),
+    ],
+    ids=["ptb", "dep"],
+)
+def test_strict_reports_a_reader_error_before_an_earlier_measure_error(
+    tmp_path, capsys, fmt, method, text, flags, message
+):
+    # The readers read the whole file before the first sentence is measured, so
+    # under --strict a reader error anywhere wins over a sentence left empty by
+    # normalization, or a leftward head, earlier in the file.
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "--input", str(corpus), "--format", fmt, "--method", method, "--strict", *flags
+    )
+    assert (code, out, err) == (1, "", f"memload: {message}\n")
 
 
 def test_punctuation_only_sentence_skipped(tmp_path, capsys):
