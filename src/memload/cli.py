@@ -21,16 +21,10 @@ from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .depload import LeftwardHead, ensure_rightward, load_profile
+from .depload import ensure_rightward, load_profile
 from .stackdepth import MetricConfig, NumberingScheme, np_depths, word_depths
 from .stats import DEFAULT_THRESHOLDS, OUTPUT_FORMATS, render
-from .treebank import (
-    EmptyAfterNormalization,
-    TreebankError,
-    normalize_tree,
-    parse_dep_corpus,
-    parse_ptb_corpus,
-)
+from .treebank import TreebankError, normalize_tree, parse_dep_corpus, parse_ptb_corpus
 
 __all__ = ["InvalidConfig", "RunConfig", "METHODS", "build_parser", "run", "main"]
 
@@ -211,7 +205,7 @@ def _tally(text: str, config: RunConfig) -> tuple[Counter[int], Counter[int], in
         for attempted, sentence in enumerate(sentences, 1):
             try:
                 values = measure(sentence)
-            except (LeftwardHead, EmptyAfterNormalization):
+            except TreebankError:
                 if config.strict:
                     raise
                 skipped += 1

@@ -18,10 +18,10 @@ from typing import NamedTuple
 
 from .treebank import ConstituencyTree
 
-__all__ = ["COORDINATOR_LABELS", "NumberingScheme", "MetricConfig", "word_depths", "np_depths"]
+__all__ = ["NumberingScheme", "MetricConfig", "word_depths", "np_depths"]
 
-COORDINATOR_LABELS = frozenset({"CC", "CONJP"})
-_GROUP_GLUE = COORDINATOR_LABELS | {","}  # children that join the conjunct group after them
+_COORDINATORS = frozenset({"CC", "CONJP"})
+_GROUP_GLUE = _COORDINATORS | {","}  # children that join the conjunct group after them
 _label = attrgetter("label")
 
 
@@ -72,7 +72,7 @@ def _walk_depths(tree: ConstituencyTree, config: MetricConfig, measure_nps: bool
             values.append(depth)
         inside_np = inside_np or is_np
         # Pushed right to left, so the leftmost child is visited next.
-        if adjust and not COORDINATOR_LABELS.isdisjoint(map(_label, children[1:])):
+        if adjust and not _COORDINATORS.isdisjoint(map(_label, children[1:])):
             # Coordinated (see MetricConfig): groups counts the real children
             # to the right, one per group.  Glue is in the group after it,
             # which groups already counts, or, trailing, in the last group.

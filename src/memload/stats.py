@@ -5,15 +5,11 @@ from __future__ import annotations
 from itertools import chain
 from typing import Mapping, Sequence
 
-__all__ = ["DEFAULT_THRESHOLDS", "UnsupportedFormat", "render"]
+__all__ = ["DEFAULT_THRESHOLDS", "render"]
 
 DEFAULT_THRESHOLDS = (5, 7, 9)
 OUTPUT_FORMATS = ("text", "csv", "json")
 _THRESHOLD_KEYS = "threshold units_over units_fraction sentences_over sentences_fraction".split()
-
-
-class UnsupportedFormat(ValueError):
-    """Requested report format is not one of text, csv, or json."""
 
 
 def _over(table: dict[int, int], total: int, threshold: int) -> tuple[int, float]:
@@ -45,7 +41,7 @@ def render(
         if value < 0 or count < 1:
             raise ValueError(f"invalid histogram bin {value}: {count}")
     if fmt not in OUTPUT_FORMATS:
-        raise UnsupportedFormat(f"unknown output format {fmt!r}")
+        raise ValueError(f"unknown output format {fmt!r}")
     units, maxima = dict(sorted(units.items())), dict(sorted(maxima.items()))
     n_units, n_sentences = sum(units.values()), sum(maxima.values())
     top = max(chain(units, maxima), default=-1)

@@ -31,11 +31,8 @@ __all__ = [
     "ConstituencyTree",
     "DependencyUnit",
     "DependencySentence",
-    "PUNCTUATION_LABELS",
-    "TRACE_LABEL",
     "parse_ptb_corpus",
     "parse_dep_corpus",
-    "normalize_label",
     "normalize_tree",
 ]
 
@@ -316,11 +313,11 @@ def parse_ptb_corpus(
     return trees
 
 
-PUNCTUATION_LABELS = frozenset({".", ",", ":", "``", "''", "-LRB-", "-RRB-", "#"})
-TRACE_LABEL = "-NONE-"
+_TRACES = frozenset({"-NONE-"})
+_TRACES_AND_PUNCTUATION = _TRACES | {".", ",", ":", "``", "''", "-LRB-", "-RRB-", "#"}
 
 
-def normalize_label(label: str) -> str:
+def _normalize_label(label: str) -> str:
     """Cut function tags and coindices: "NP-SBJ-1" -> "NP", "S=2" -> "S".
 
     A label that would be cut to nothing ("-NONE-", "-LRB-", "=2") is kept
@@ -342,7 +339,7 @@ def normalize_tree(tree: ConstituencyTree, *, strip_punctuation: bool = True) ->
     changes is shared with the input, so the pass is idempotent and returns
     an already clean tree itself.
     """
-    dropped = PUNCTUATION_LABELS if strip_punctuation else frozenset()
+    dropped = _TRACES_AND_PUNCTUATION if strip_punctuation else _TRACES
     kept_root: list[ConstituencyTree] = []
     # Open nodes as (node, cleaned label, drop leaves?, kept children,
     # iterator over children), under a wrapper that keeps the cleaned tree.
@@ -351,9 +348,8 @@ def normalize_tree(tree: ConstituencyTree, *, strip_punctuation: bool = True) ->
         node, label, drop_leaves, kept, children = stack[-1]
         for child in children:
             if child.children:
-                child_label = normalize_label(child.label)
-                drop = child_label == TRACE_LABEL or child_label in dropped
-                stack.append((child, child_label, drop, [], iter(child.children)))
+                child_label = _normalize_label(child.label)
+                stack.append((child, child_label, child_label in dropped, [], iter(child.children)))
                 break
             if not drop_leaves:
                 kept.append(child)

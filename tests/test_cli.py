@@ -12,7 +12,9 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain, repeat
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,8 @@ import memload
 import treegen
 from oracles import sentence_histogram, unit_histogram
 from memload import (
-    EmptyAfterNormalization, MetricConfig, cli, load_profile, normalize_tree, np_depths,
-    parse_dep_corpus, parse_ptb_corpus, render, word_depths,
+    EmptyAfterNormalization, MetricConfig, TreebankError, cli, load_profile, normalize_tree,
+    np_depths, parse_dep_corpus, parse_ptb_corpus, render, word_depths,
 )
 from memload.cli import METHODS, RunConfig, main, run
 
@@ -544,6 +546,43 @@ def test_strict_reports_a_reader_error_before_an_earlier_measure_error(
     assert (code, out, err) == (1, "", f"memload: {message}\n")
 
 
+@pytest.mark.parametrize("strict", [False, True], ids=["skip", "strict"])
+@pytest.mark.parametrize(
+    "fmt, method, measure",
+    [("dep", "dep-load", "load_profile"), ("ptb", "yngve-word", "word_depths")],
+    ids=["dep", "ptb"],
+)
+def test_any_sentence_error_raised_while_measuring_is_skipped(
+    tmp_path, capsys, monkeypatch, fmt, method, measure, strict
+):
+    # A plain TreebankError, of no class a measure step raises: every
+    # TreebankError skips its sentence, or aborts the run under --strict.
+    sentences = {
+        "dep": ["1\ta\t0\n", "1\tb\t0\n2\tc\t1\n", "1\td\t2\n2\te\t0\n"],
+        "ptb": ["(S (N a))\n", "(S (N b) (N c))\n", "(S (N d) (V e))\n"],
+    }[fmt]
+    separator = "\n" if fmt == "dep" else ""
+    corpus, rest = tmp_path / "corpus.txt", tmp_path / "rest.txt"
+    corpus.write_text(separator.join(sentences), encoding="utf-8")
+    rest.write_text(separator.join(sentences[::2]), encoding="utf-8")
+    argv = ["--format", fmt, "--method", method] + ["--strict"] * strict
+    _, report, _ = run_cli(capsys, "--input", str(rest), *argv)
+    measured, calls = getattr(cli, measure), []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise TreebankError("the second sentence has no load")
+        return measured(*args)
+
+    monkeypatch.setattr(cli, measure, failing)
+    code, out, err = run_cli(capsys, "--input", str(corpus), *argv)
+    if strict:
+        assert (code, out, err) == (1, "", "memload: the second sentence has no load\n")
+    else:
+        assert (code, out, err) == (0, report, "memload: skipped 1 of 3 sentences\n")
+
+
 def test_punctuation_only_sentence_skipped(tmp_path, capsys):
     corpus = tmp_path / "punct.ptb"
     corpus.write_text("(S (. .))\n(S (N w))\n", encoding="utf-8")
@@ -703,15 +742,19 @@ def test_both_launchers_freeze_the_heap_once_main_returns(capsys):
     assert result.stdout == capsys.readouterr().out + "True\n"
 
 
+def one_huge_sentence(fmt: str) -> Iterator[str]:
+    """The lines of one dep block of 2,000,000 units, or of one tree of 1,000,000 words."""
+    if fmt == "dep":
+        return chain(["1\tw\t0\n"], map("{}\tw\t1\n".format, range(2, 2_000_001)))
+    return chain(["(S\n"], repeat("(N a)\n", 1_000_000), [")\n"])
+
+
 @pytest.mark.parametrize(
-    "fmt, method, sentence, copies",
-    [
-        ("dep", "dep-load", "1\tw\t0\n\n", 2_000_000),
-        ("ptb", "yngve-word", "(S (N a))\n", 1_000_000),
-    ],
+    "fmt, method, sentence",
+    [("dep", "dep-load", "1\tw\t0\n"), ("ptb", "yngve-word", "(S (N a))\n")],
     ids=["dep", "ptb"],
 )
-def test_out_of_memory_ends_in_one_line(tmp_path, fmt, method, sentence, copies):
+def test_out_of_memory_ends_in_one_line(tmp_path, fmt, method, sentence):
     resource = pytest.importorskip("resource")
     cap = 120 << 20  # bytes of address space, set in the child only
 
@@ -719,9 +762,12 @@ def test_out_of_memory_ends_in_one_line(tmp_path, fmt, method, sentence, copies)
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     corpus = tmp_path / f"corpus.{fmt}"
-    # The same cap runs one sentence, so what fails the large file is its size.
-    for count, code, err in ((copies, 1, "memload: out of memory\n"), (1, 0, "")):
-        corpus.write_text(sentence * count, encoding="utf-8")
+    # One sentence, which even a reader that yields holds whole; the same cap runs a
+    # small one, so what fails the huge one is its size.
+    runs = [(one_huge_sentence(fmt), 1, "memload: out of memory\n"), ([sentence], 0, "")]
+    for lines, code, err in runs:
+        with corpus.open("w", encoding="utf-8") as out:
+            out.writelines(lines)
         result = subprocess.run(
             [*MEMLOAD, "--input", str(corpus), "--format", fmt, "--method", method],
             capture_output=True,

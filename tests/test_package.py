@@ -29,7 +29,6 @@ from memload.cli import RunConfig
 
 PUBLIC_NAMES = {
     "__version__",
-    "COORDINATOR_LABELS",
     "ConstituencyTree",
     "DEFAULT_THRESHOLDS",
     "DepFormatError",
@@ -46,16 +45,12 @@ PUBLIC_NAMES = {
     "MultipleRoots",
     "NonContiguousIndices",
     "NumberingScheme",
-    "PUNCTUATION_LABELS",
     "PtbParseError",
     "SelfHead",
-    "TRACE_LABEL",
     "TreebankError",
     "UnbalancedBrackets",
-    "UnsupportedFormat",
     "ensure_rightward",
     "load_profile",
-    "normalize_label",
     "normalize_tree",
     "np_depths",
     "parse_dep_corpus",

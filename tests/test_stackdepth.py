@@ -8,20 +8,16 @@ import random
 
 import treegen
 from oracles import grouped_stack_oracle_depths, stack_oracle_depths
-from memload.stackdepth import (
-    COORDINATOR_LABELS,
-    MetricConfig,
-    NumberingScheme,
-    np_depths,
-    word_depths,
-)
+from memload.stackdepth import MetricConfig, NumberingScheme, np_depths, word_depths
 from memload.treebank import ConstituencyTree, parse_ptb_corpus
 
 YNGVE = NumberingScheme.YNGVE
 SAMPSON = NumberingScheme.SAMPSON
 
-# Children that join the conjunct group after them, as MetricConfig's docstring says.
-GLUE = COORDINATOR_LABELS | {","}
+# Coordinators, and the children that join the conjunct group after them, as
+# MetricConfig's docstring says.
+COORDINATORS = frozenset({"CC", "CONJP"})
+GLUE = COORDINATORS | {","}
 
 EXAMPLE = "(S (NP (DT The) (N boy)) (VP (V has) (NP (DT a) (J small) (N doll))))"
 
@@ -111,7 +107,7 @@ def conjunct_rule(labels, scheme):
     real child joins the last group.  Without coordination every child is
     its own group: child k of n gets n - k, capped at 1 under sampson.
     """
-    if not any(label in COORDINATOR_LABELS for label in labels[1:]):
+    if not any(label in COORDINATORS for label in labels[1:]):
         right = range(len(labels) - 1, -1, -1)
         return [min(r, 1) if scheme is SAMPSON else r for r in right]
     groups = [[]]
@@ -357,4 +353,10 @@ def test_np_depths_sampson_scheme():
 
 
 def test_coordinator_labels_are_exactly_cc_and_conjp():
-    assert COORDINATOR_LABELS == {"CC", "CONJP"}
+    # A comma joins the group after it only in a coordinated node, so it shows
+    # whether the node coordinates.
+    for label in ("CC", "CONJP"):
+        assert numbers(["NP", ",", "NP", label, "NP"], YNGVE) == [2, 1, 1, 0, 0]
+        assert numbers([label, ",", "NP", "NP"], YNGVE) == [3, 2, 1, 0]
+    for label in ("CCX", "XCC", "CONJ", "cc", "CC-1", ","):
+        assert numbers(["NP", ",", "NP", label, "NP"], YNGVE) == [4, 3, 2, 1, 0]

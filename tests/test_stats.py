@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from memload.stats import DEFAULT_THRESHOLDS, UnsupportedFormat, render
+from memload.stats import DEFAULT_THRESHOLDS, render
 
 from anchors import (
     DEP_SENTENCE_BINS,
@@ -222,7 +222,7 @@ def test_render_text_matches_csv_numbers():
 
 
 def test_render_rejects_unknown_format():
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
         render({}, {}, "xml")
 
 

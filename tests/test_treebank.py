@@ -37,7 +37,6 @@ from memload.treebank import (
     PtbParseError,
     SelfHead,
     UnbalancedBrackets,
-    normalize_label,
     normalize_tree,
     parse_dep_corpus,
     parse_ptb_corpus,
@@ -48,6 +47,15 @@ EXAMPLE = "(S (NP (DT The) (N boy)) (VP (V has) (NP (DT a) (J small) (N doll))))
 
 def leaf_surfaces(tree: ConstituencyTree) -> list[str]:
     return [leaf.surface for leaf in tree.leaves()]
+
+
+def read_all(reader, text: str, **kwargs) -> list:
+    """Every sentence reader(text, **kwargs) gives, read to the end, as a list.
+
+    A test indexes, counts or compares the result, or waits for the raise or
+    on_error call a sentence makes, only once the whole text is read.
+    """
+    return list(reader(text, **kwargs))
 
 
 # A deliberately separate reader used to cross-check wrapper handling: it
@@ -100,7 +108,7 @@ def test_wrapper_unwrapped():
 
 
 def test_wrapper_with_several_trees():
-    trees = parse_ptb_corpus("( (S (N a)) (S (N b)) )")
+    trees = read_all(parse_ptb_corpus, "( (S (N a)) (S (N b)) )")
     assert [t.label for t in trees] == ["S", "S"]
 
 
@@ -116,24 +124,24 @@ def test_reference_reader_agreement():
                 unwrapped.extend(item)
             else:
                 unwrapped.append(item)
-        got = [as_nested(tree) for tree in parse_ptb_corpus(sample)]
+        got = [as_nested(tree) for tree in read_all(parse_ptb_corpus, sample)]
         assert got == unwrapped, sample
 
 
 def test_whitespace_and_multiline_input():
     text = "  (S\n    (N a)\n    (V b))\n\n(S (N c))\n"
-    trees = parse_ptb_corpus(text)
+    trees = read_all(parse_ptb_corpus, text)
     assert [leaf_surfaces(t) for t in trees] == [["a", "b"], ["c"]]
 
 
 def test_empty_input_yields_no_trees():
-    assert parse_ptb_corpus("") == []
-    assert parse_ptb_corpus("   \n  \n") == []
+    assert read_all(parse_ptb_corpus, "") == []
+    assert read_all(parse_ptb_corpus, "   \n  \n") == []
 
 
 def test_unclosed_bracket_raises_with_position():
     with pytest.raises(UnbalancedBrackets) as info:
-        parse_ptb_corpus("(S (N a)")
+        read_all(parse_ptb_corpus, "(S (N a)")
     assert info.value.line == 1
     assert info.value.column == 1
     assert "line 1" in str(info.value)
@@ -141,30 +149,30 @@ def test_unclosed_bracket_raises_with_position():
 
 def test_stray_close_bracket():
     with pytest.raises(UnbalancedBrackets) as info:
-        parse_ptb_corpus("(S (N a)) )")
+        read_all(parse_ptb_corpus, "(S (N a)) )")
     assert info.value.column == 11
 
 
 def test_empty_tree_errors():
     with pytest.raises(EmptyTree):
-        parse_ptb_corpus("()")
+        read_all(parse_ptb_corpus, "()")
     with pytest.raises(EmptyTree):
-        parse_ptb_corpus("(X)")
+        read_all(parse_ptb_corpus, "(X)")
 
 
 def test_bare_word_at_top_level():
     with pytest.raises(LeafWithoutLabel):
-        parse_ptb_corpus("hello")
+        read_all(parse_ptb_corpus, "hello")
 
 
 def test_bare_word_under_wrapper():
     with pytest.raises(LeafWithoutLabel):
-        parse_ptb_corpus("( (S (N a)) stray )")
+        read_all(parse_ptb_corpus, "( (S (N a)) stray )")
 
 
 def test_nested_unlabeled_node_rejected():
     with pytest.raises(PtbParseError):
-        parse_ptb_corpus("(S ((N w)))")
+        read_all(parse_ptb_corpus, "(S ((N w)))")
 
 
 @pytest.mark.parametrize(
@@ -174,7 +182,7 @@ def test_nested_unlabeled_node_rejected():
 )
 def test_error_position_on_later_line(newline):
     with pytest.raises(EmptyTree) as info:
-        parse_ptb_corpus(f"(S (N a)){newline}(S (X) (N b))")
+        read_all(parse_ptb_corpus, f"(S (N a)){newline}(S (X) (N b))")
     assert info.value.line == 2
     assert info.value.column == 4
 
@@ -185,7 +193,7 @@ def test_error_positions_across_reports_after_crlf_lines():
         ["(S (N a))", "(X)", "", "  () (S (N b)) )", "(S (N c) x", "  (N) () )", "", "(S"]
     )
     errors: list[PtbParseError] = []
-    trees = parse_ptb_corpus(text, on_error=errors.append)
+    trees = read_all(parse_ptb_corpus, text, on_error=errors.append)
     assert [leaf_surfaces(t) for t in trees] == [["a"], ["b"]]
     assert [(type(e), e.line, e.column) for e in errors] == [
         (EmptyTree, 2, 1),
@@ -199,11 +207,11 @@ def test_error_positions_across_reports_after_crlf_lines():
 @pytest.mark.parametrize("newline", LINE_BREAKS, ids=escaped)
 def test_ptb_reader_drops_a_byte_order_mark_that_starts_a_line(newline):
     # As the CLI reads `cat a.ptb b.ptb` of two marked files.
-    plain = parse_ptb_corpus("(S (N a)) (S (N b))")
-    assert parse_ptb_corpus(f"(S (N a)){newline}\ufeff(S (N b))") == plain
+    plain = read_all(parse_ptb_corpus, "(S (N a)) (S (N b))")
+    assert read_all(parse_ptb_corpus, f"(S (N a)){newline}\ufeff(S (N b))") == plain
     text = newline.join(["\ufeff(S (N a))", "\ufeff(S (N b)) (\ufeffX)", "\ufeff ( (S (N c)) )"])
     errors: list[PtbParseError] = []
-    trees = parse_ptb_corpus(text, on_error=errors.append)
+    trees = read_all(parse_ptb_corpus, text, on_error=errors.append)
     assert [leaf_surfaces(t) for t in trees] == [["a"], ["b"], ["c"]]
     # A mark anywhere else in a line is text: here, part of a label.
     assert [str(e) for e in errors] == [r"node '\ufeffX' has no children (line 2, column 11)"]
@@ -212,26 +220,27 @@ def test_ptb_reader_drops_a_byte_order_mark_that_starts_a_line(newline):
 @pytest.mark.parametrize("newline", LINE_BREAKS, ids=escaped)
 def test_dep_reader_drops_a_byte_order_mark_that_starts_a_line(newline):
     text = newline.join(["{0}1\ta\t0", "{0}", "{0}1\tb\t2", "{0}2\t{0}c\t0", "{0}#", ""])
-    assert parse_dep_corpus(text.format("\ufeff")) == parse_dep_corpus(text.format(""))[:1] + [
+    plain = read_all(parse_dep_corpus, text.format(""))
+    assert read_all(parse_dep_corpus, text.format("\ufeff")) == plain[:1] + [
         DependencySentence([DependencyUnit(1, "b", 2), DependencyUnit(2, "\ufeffc", 0)])
     ]
     with pytest.raises(MalformedLine) as info:
-        parse_dep_corpus(f"1\ta\t0{newline}\ufeff\ufeff2\tb\t1")
+        read_all(parse_dep_corpus, f"1\ta\t0{newline}\ufeff\ufeff2\tb\t1")
     assert info.value.line_no == 2  # a second mark is text: the index is not an integer
 
 
 def test_readers_drop_a_byte_order_mark_at_the_text_start():
-    assert parse_ptb_corpus("\ufeff(S (N a))") == parse_ptb_corpus("(S (N a))")
-    assert parse_dep_corpus("\ufeff1\ta\t0\n") == parse_dep_corpus("1\ta\t0\n")
+    assert read_all(parse_ptb_corpus, "\ufeff(S (N a))") == read_all(parse_ptb_corpus, "(S (N a))")
+    assert read_all(parse_dep_corpus, "\ufeff1\ta\t0\n") == read_all(parse_dep_corpus, "1\ta\t0\n")
     with pytest.raises(EmptyTree) as info:
-        parse_ptb_corpus("\ufeff  (X)")
+        read_all(parse_ptb_corpus, "\ufeff  (X)")
     assert (info.value.line, info.value.column) == (1, 3)
 
 
 def test_on_error_skips_only_bad_sentences():
     text = "(S (N a)) () (S (N b)) ) (S (N c))"
     errors: list[PtbParseError] = []
-    trees = parse_ptb_corpus(text, on_error=errors.append)
+    trees = read_all(parse_ptb_corpus, text, on_error=errors.append)
     assert [leaf_surfaces(t) for t in trees] == [["a"], ["b"], ["c"]]
     assert len(errors) == 2
     assert isinstance(errors[0], EmptyTree)
@@ -240,13 +249,13 @@ def test_on_error_skips_only_bad_sentences():
 
 def test_unclosed_bracket_poisons_only_its_tail():
     errors: list[PtbParseError] = []
-    trees = parse_ptb_corpus("(S (N a)) (S (N b)", on_error=errors.append)
+    trees = read_all(parse_ptb_corpus, "(S (N a)) (S (N b)", on_error=errors.append)
     assert [leaf_surfaces(t) for t in trees] == [["a"]]
     assert len(errors) == 1
     # An error inside the unclosed tail is not reported on its own: the tail
     # yields one UnbalancedBrackets at its opening bracket.
     errors.clear()
-    trees = parse_ptb_corpus("(S (N a)) (S (X) (N b)", on_error=errors.append)
+    trees = read_all(parse_ptb_corpus, "(S (N a)) (S (X) (N b)", on_error=errors.append)
     assert [leaf_surfaces(t) for t in trees] == [["a"]]
     assert len(errors) == 1
     assert isinstance(errors[0], UnbalancedBrackets)
@@ -255,7 +264,7 @@ def test_unclosed_bracket_poisons_only_its_tail():
 
 def test_bad_tree_skips_its_whole_wrapper():
     errors: list[PtbParseError] = []
-    trees = parse_ptb_corpus("( (S (N a)) (X) ) (S (N b))", on_error=errors.append)
+    trees = read_all(parse_ptb_corpus, "( (S (N a)) (X) ) (S (N b))", on_error=errors.append)
     assert [leaf_surfaces(t) for t in trees] == [["b"]]
     assert len(errors) == 1
     assert isinstance(errors[0], EmptyTree)
@@ -278,7 +287,7 @@ def test_a_bad_group_keeps_only_its_first_error(text, error, message):
     tracemalloc.start()
     try:
         with pytest.raises(error) as info:
-            parse_ptb_corpus(text)
+            read_all(parse_ptb_corpus, text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -309,7 +318,7 @@ def test_deeply_nested_tree():
 def deep_chains() -> tuple[ConstituencyTree, ConstituencyTree, ConstituencyTree]:
     """A 50,000-deep chain, a second parse of it, and a chain one level shorter."""
     return tuple(
-        parse_ptb_corpus(deep_chain_text(depth))[0] for depth in (50000, 50000, 49999)
+        read_all(parse_ptb_corpus, deep_chain_text(depth))[0] for depth in (50000, 50000, 49999)
     )
 
 
@@ -390,7 +399,7 @@ def test_parsed_trees_with_shared_leaves_match_built_ones():
     the_dog = [ConstituencyTree("NP", [word("the"), word("dog")])]
     built = ConstituencyTree("S", the_dog + [ConstituencyTree("VP", [word("saw")] + the_dog)])
     trees = [built] + treegen.random_trees(seed=44, count=200, max_depth=5, max_branching=4)
-    parsed = parse_ptb_corpus("\n".join(tree.to_bracketed() for tree in trees))
+    parsed = read_all(parse_ptb_corpus, "\n".join(tree.to_bracketed() for tree in trees))
     assert parsed[0].children[0].children[0] is parsed[0].children[1].children[1].children[0]
     for tree, reparsed in zip(trees, parsed, strict=True):
         assert reparsed == tree and tree == reparsed
@@ -412,7 +421,7 @@ PTB_TOKEN_RE = re.compile(r"[()]|[^()\s]+")
 )
 def test_errors_point_at_tokens(text):
     errors: list[PtbParseError] = []
-    parse_ptb_corpus(text, on_error=errors.append)
+    read_all(parse_ptb_corpus, text, on_error=errors.append)
     lines = text.splitlines()
     for error in errors:
         assert 1 <= error.line <= len(lines)
@@ -465,8 +474,8 @@ def test_error_positions_are_the_splitlines_positions(text):
     one_per_line = "".join(f" {token}\n" for token, _, _ in tokens)
     errors: list[PtbParseError] = []
     indexed: list[PtbParseError] = []
-    parse_ptb_corpus(text, on_error=errors.append)
-    parse_ptb_corpus(one_per_line, on_error=indexed.append)
+    read_all(parse_ptb_corpus, text, on_error=errors.append)
+    read_all(parse_ptb_corpus, one_per_line, on_error=indexed.append)
     assert [type(e) for e in errors] == [type(e) for e in indexed]
     assert [(e.line, e.column) for e in errors] == [tokens[e.line - 1][1:] for e in indexed]
 
@@ -477,7 +486,7 @@ def test_tokens_across_the_piece_boundary(shift):
     # the last tree across the first cut, so each of its tokens straddles it.
     text = " " * shift + "(S (N a))\n" * 6550 + "(NP (DT word) (NN longerword)) ) x"
     errors: list[PtbParseError] = []
-    trees = parse_ptb_corpus(text, on_error=errors.append)
+    trees = read_all(parse_ptb_corpus, text, on_error=errors.append)
     assert len(trees) == 6551
     assert as_nested(trees[-1]) == ["NP", ["DT", "word"], ["NN", "longerword"]]
     assert [(type(e), e.line, e.column) for e in errors] == [
@@ -506,7 +515,7 @@ def test_tokens_across_the_piece_boundary(shift):
 def test_error_columns_after_unicode_whitespace(space, positions):
     text = "(S (N a))" + space.join(["", "(X", ")", ") (N", "b)"])
     errors: list[PtbParseError] = []
-    assert len(parse_ptb_corpus(text, on_error=errors.append)) == 2
+    assert len(read_all(parse_ptb_corpus, text, on_error=errors.append)) == 2
     assert [type(e) for e in errors] == [EmptyTree, UnbalancedBrackets]
     assert [(e.line, e.column) for e in errors] == positions
 
@@ -515,7 +524,7 @@ def test_round_trip_random_trees():
     rng = random.Random(4)
     for _ in range(200):
         tree = treegen.random_tree(rng, max_depth=6, max_branching=4)
-        assert parse_ptb_corpus(tree.to_bracketed()) == [tree]
+        assert read_all(parse_ptb_corpus, tree.to_bracketed()) == [tree]
 
 
 PTB_TOKENS = st.text(
@@ -543,7 +552,7 @@ PTB_TREES = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(PTB_TREES)
 def test_ptb_round_trip(tree):
-    assert parse_ptb_corpus(tree.to_bracketed()) == [tree]
+    assert read_all(parse_ptb_corpus, tree.to_bracketed()) == [tree]
 
 
 def test_tree_constructor_invariants():
@@ -570,7 +579,7 @@ def test_parse_dep_example():
 
 def test_parse_dep_comments_and_blank_lines():
     text = "# a comment\n1\ta\t0\n\n\n# only\n# comments\n\n# another\n1\tb\t2\n2\tc\t0\n"
-    sentences = parse_dep_corpus(text)
+    sentences = read_all(parse_dep_corpus, text)
     assert [s.heads for s in sentences] == [(0,), (2, 0)]
 
 
@@ -582,50 +591,50 @@ def test_single_unit_sentence():
 def test_malformed_line_reports_line_number():
     text = "1\ta\t0\n\n1\tb\n"
     with pytest.raises(MalformedLine) as info:
-        parse_dep_corpus(text)
+        read_all(parse_dep_corpus, text)
     assert info.value.line_no == 3
     assert "line 3" in str(info.value)
 
 
 def test_non_integer_fields():
     with pytest.raises(MalformedLine):
-        parse_dep_corpus("1\ta\tx\n")
+        read_all(parse_dep_corpus, "1\ta\tx\n")
     with pytest.raises(MalformedLine):
-        parse_dep_corpus("one\ta\t0\n")
+        read_all(parse_dep_corpus, "one\ta\t0\n")
 
 
 def test_empty_surface_rejected():
     with pytest.raises(MalformedLine):
-        parse_dep_corpus("1\t\t0\n")
+        read_all(parse_dep_corpus, "1\t\t0\n")
 
 
 def test_multiple_roots():
     with pytest.raises(MultipleRoots):
-        parse_dep_corpus("1\ta\t0\n2\tb\t0\n")
+        read_all(parse_dep_corpus, "1\ta\t0\n2\tb\t0\n")
 
 
 def test_missing_root():
     with pytest.raises(MissingRoot):
-        parse_dep_corpus("1\ta\t2\n2\tb\t1\n")
+        read_all(parse_dep_corpus, "1\ta\t2\n2\tb\t1\n")
 
 
 def test_self_head():
     with pytest.raises(SelfHead):
-        parse_dep_corpus("1\ta\t1\n")
+        read_all(parse_dep_corpus, "1\ta\t1\n")
 
 
 def test_non_contiguous_indices():
     with pytest.raises(NonContiguousIndices):
-        parse_dep_corpus("1\ta\t3\n3\tb\t0\n")
+        read_all(parse_dep_corpus, "1\ta\t3\n3\tb\t0\n")
     with pytest.raises(NonContiguousIndices):
-        parse_dep_corpus("2\ta\t1\n1\tb\t0\n")
+        read_all(parse_dep_corpus, "2\ta\t1\n1\tb\t0\n")
 
 
 def test_head_out_of_range():
     with pytest.raises(HeadOutOfRange):
-        parse_dep_corpus("1\ta\t5\n2\tb\t0\n")
+        read_all(parse_dep_corpus, "1\ta\t5\n2\tb\t0\n")
     with pytest.raises(HeadOutOfRange):
-        parse_dep_corpus("1\ta\t-1\n2\tb\t0\n")
+        read_all(parse_dep_corpus, "1\ta\t-1\n2\tb\t0\n")
 
 
 @pytest.mark.parametrize(
@@ -652,7 +661,7 @@ def test_dep_validation_precedence(heads_and_indices, error, message):
 def test_dep_on_error_skips_bad_blocks():
     text = "1\ta\t0\n\n1\tb\t1\n\n1\tc\t0\n"
     errors: list[Exception] = []
-    sentences = parse_dep_corpus(text, on_error=errors.append)
+    sentences = read_all(parse_dep_corpus, text, on_error=errors.append)
     assert [s.heads for s in sentences] == [(0,), (0,)]
     assert len(errors) == 1
     assert isinstance(errors[0], SelfHead)
@@ -661,7 +670,7 @@ def test_dep_on_error_skips_bad_blocks():
 def test_dep_block_reports_only_its_first_malformed_line():
     text = "1\ta\t0\n\n1\tb\n2\tc\tx\n\n"
     errors: list[Exception] = []
-    sentences = parse_dep_corpus(text, on_error=errors.append)
+    sentences = read_all(parse_dep_corpus, text, on_error=errors.append)
     assert [s.heads for s in sentences] == [(0,)]
     assert len(errors) == 1
     assert isinstance(errors[0], MalformedLine)
@@ -671,7 +680,7 @@ def test_dep_block_reports_only_its_first_malformed_line():
 def test_dep_malformed_block_skips_only_itself():
     text = "1\ta\tx\n2\tb\t0\n\n1\tc\t0\n\n1\td\t2\n2\te\t0\n"
     errors: list[Exception] = []
-    sentences = parse_dep_corpus(text, on_error=errors.append)
+    sentences = read_all(parse_dep_corpus, text, on_error=errors.append)
     assert [[u.surface for u in s.units] for s in sentences] == [["c"], ["d", "e"]]
     assert [(type(e), e.line_no) for e in errors] == [(MalformedLine, 1)]
 
@@ -686,7 +695,7 @@ def test_dep_crlf_parses_like_lf():
     runs = []
     for newline in ("\n", "\r\n"):
         errors: list[Exception] = []
-        sentences = parse_dep_corpus(text.replace("\n", newline), on_error=errors.append)
+        sentences = read_all(parse_dep_corpus, text.replace("\n", newline), on_error=errors.append)
         runs.append((sentences, [(type(e), str(e)) for e in errors]))
     assert runs[0] == runs[1]
     assert len(runs[0][0]) == 2 and len(runs[0][1]) == 1
@@ -695,14 +704,14 @@ def test_dep_crlf_parses_like_lf():
 def test_dep_strict_raises_the_first_bad_line():
     text = "1\ta\t0\n\n1\tb\t0\n2\tc\n3\td\n\n1\te\n"
     with pytest.raises(MalformedLine) as info:
-        parse_dep_corpus(text)
+        read_all(parse_dep_corpus, text)
     assert info.value.line_no == 4
 
 
 def strict_ptb_error_type(text: str) -> list[type]:
     # Not pytest.raises: its ExceptionInfo holds the traceback in a cycle of its own.
     try:
-        parse_ptb_corpus(text)
+        read_all(parse_ptb_corpus, text)
     except PtbParseError as exc:
         return [type(exc)]
     return []
@@ -710,7 +719,7 @@ def strict_ptb_error_type(text: str) -> list[type]:
 
 def dep_error_types(text: str) -> list[type]:
     errors: list[Exception] = []
-    parse_dep_corpus(text, on_error=errors.append)
+    read_all(parse_dep_corpus, text, on_error=errors.append)
     return [type(e) for e in errors]
 
 
@@ -761,7 +770,7 @@ def dep_sentences(draw, max_units: int = 30) -> DependencySentence:
 @settings(max_examples=200, deadline=None)
 @given(st.lists(dep_sentences(), min_size=1, max_size=4))
 def test_dep_round_trip(sentences):
-    assert parse_dep_corpus(treegen.dep_text(sentences)) == sentences
+    assert read_all(parse_dep_corpus, treegen.dep_text(sentences)) == sentences
 
 
 def test_from_heads_builds_surfaces():
@@ -918,7 +927,7 @@ def described(errors: list[Exception]) -> list[tuple[type, str, int | None]]:
 def test_dep_reader_agrees_with_the_per_line_reference(text):
     got_errors: list[Exception] = []
     want_errors: list[Exception] = []
-    got = parse_dep_corpus(text, on_error=got_errors.append)
+    got = read_all(parse_dep_corpus, text, on_error=got_errors.append)
     want = reference_dep_read(text, want_errors.append)
     assert [s.heads for s in got] == [tuple(head for _, _, head in units) for units in want]
     assert [repr(s) for s in got] == [reference_dep_repr(units) for units in want]
@@ -926,7 +935,7 @@ def test_dep_reader_agrees_with_the_per_line_reference(text):
     strict = []
     for read in (parse_dep_corpus, reference_dep_read):
         try:
-            read(text, None)
+            list(read(text, None))
         except DepFormatError as exc:
             strict.append(described([exc]))
     assert strict == ([described(got_errors[:1])] * 2 if got_errors else [])
@@ -954,7 +963,7 @@ def test_dep_reader_agrees_with_the_per_line_reference(text):
 )
 def test_dep_malformed_line_is_found_after_the_bulk_parse(text, error, line_no):
     with pytest.raises(MalformedLine) as info:
-        parse_dep_corpus(text)
+        read_all(parse_dep_corpus, text)
     assert error in str(info.value) and info.value.line_no == line_no
 
 
@@ -963,7 +972,7 @@ def test_dep_int_edge_cases_read_as_int_does():
     [sentence] = parse_dep_corpus(" 1\ta\t+2\n2 \tb\t0\n\u0663\tc\t2\n")
     assert sentence.heads == (2, 0, 2)
     with pytest.raises(HeadOutOfRange, match="unit 1 has head 10"):
-        parse_dep_corpus("1\ta\t1_0\n2\tb\t0\n")
+        read_all(parse_dep_corpus, "1\ta\t1_0\n2\tb\t0\n")
 
 
 @pytest.mark.parametrize(
@@ -978,9 +987,9 @@ def test_dep_int_edge_cases_read_as_int_does():
 def test_per_line_errors_carry_no_exception_context(text, error):
     # A __context__ would hold a traceback, and with it the reader's frame and lines.
     with pytest.raises(error) as raised:
-        parse_dep_corpus(text)
+        read_all(parse_dep_corpus, text)
     handed: list[Exception] = []
-    parse_dep_corpus(text, on_error=handed.append)
+    read_all(parse_dep_corpus, text, on_error=handed.append)
     assert [type(exc) for exc in handed] == [error]
     for exc in (raised.value, *handed):
         assert exc.__context__ is None and exc.__cause__ is None
@@ -992,27 +1001,29 @@ def test_a_numeral_int_reads_gives_the_same_sentence():
     canonical = treegen.dep_text([treegen.from_heads(heads)])
     assert "\n6\tw6\t7\n" in canonical
     odd = canonical.replace("\n6\tw6\t7\n", "\n6\tw6\t007\n")
-    assert parse_dep_corpus(odd) == parse_dep_corpus(canonical)
+    assert read_all(parse_dep_corpus, odd) == read_all(parse_dep_corpus, canonical)
     [sentence] = parse_dep_corpus(odd)
-    assert sentence.heads == tuple(heads) and repr(sentence) == repr(parse_dep_corpus(canonical)[0])
+    [written] = parse_dep_corpus(canonical)
+    assert sentence.heads == tuple(heads) and repr(sentence) == repr(written)
 
 
 def test_a_long_block_after_a_short_one_reads_as_it_does_alone():
     short = treegen.from_heads([0])
     long = treegen.from_heads([*range(2, 251), 0])
-    together = parse_dep_corpus(treegen.dep_text([short, long]))  # the numerals grow mid-call
-    alone = parse_dep_corpus(treegen.dep_text([long]))
+    # The numerals grow mid-call.
+    together = read_all(parse_dep_corpus, treegen.dep_text([short, long]))
+    alone = read_all(parse_dep_corpus, treegen.dep_text([long]))
     assert together == [short, long] and alone == [long]
     assert [repr(s) for s in together] == [repr(short), repr(long)]
 
 
 def test_the_reader_keeps_no_memory_after_it_returns():
     # Its numeral table for a 5,000-unit block, about 1 MB, goes with the call.
-    parse_dep_corpus("1\tw\t0\n")  # whatever the reader loads once, it loads here
+    read_all(parse_dep_corpus, "1\tw\t0\n")  # whatever the reader loads once, it loads here
     text = treegen.dep_text([treegen.from_heads([*range(2, 5001), 0])])
     tracemalloc.start()
     try:
-        parse_dep_corpus(text)
+        read_all(parse_dep_corpus, text)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1024,10 +1035,10 @@ def test_the_reader_cuts_the_text_where_it_lies(breaks):
     # The chunks are one copy of the text, in pieces; any whole copy besides them would
     # take the peak past 2x.
     text = treegen.random_dep_text(41, 5000).replace("\n", breaks)
-    parse_dep_corpus("1\tw\t0\n")  # whatever the reader loads once, it loads here
+    read_all(parse_dep_corpus, "1\tw\t0\n")  # whatever the reader loads once, it loads here
     tracemalloc.start()
     try:
-        sentences = parse_dep_corpus(text)
+        sentences = read_all(parse_dep_corpus, text)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1064,7 +1075,7 @@ def read_counting_units(monkeypatch, text: str, **kwargs) -> tuple[list, list[tu
 
     with monkeypatch.context() as patch:
         patch.setattr(treebank, "DependencyUnit", counted)
-        sentences = parse_dep_corpus(text, **kwargs)
+        sentences = read_all(parse_dep_corpus, text, **kwargs)
     return sentences, built
 
 
@@ -1148,12 +1159,15 @@ def test_constructed_sentence_keeps_its_units():
 
 
 def test_normalize_label_rules():
-    assert normalize_label("NP-SBJ-1") == "NP"
-    assert normalize_label("S=2") == "S"
-    assert normalize_label("NP") == "NP"
-    assert normalize_label("-NONE-") == "-NONE-"
-    assert normalize_label("-LRB-") == "-LRB-"
-    assert normalize_label("=2") == "=2"
+    for label, cut in [("NP-SBJ-1", "NP"), ("S=2", "S"), ("NP", "NP"), ("=2", "=2")]:
+        [tree] = parse_ptb_corpus(f"(ROOT ({label} (X w)))")
+        assert normalize_tree(tree).children[0].label == cut
+    # Kept verbatim, not cut to nothing: -NONE- above a phrase, which keeps its word,
+    # and -LRB- over a kept punctuation leaf.
+    [tree] = parse_ptb_corpus("(S (-NONE- (X w)) (N v))")
+    assert normalize_tree(tree).children[0].label == "-NONE-"
+    [tree] = parse_ptb_corpus("(S (-LRB- -LRB-) (N v))")
+    assert normalize_tree(tree, strip_punctuation=False).children[0].label == "-LRB-"
 
 
 def test_normalize_strips_trailing_punctuation():
@@ -1192,6 +1206,8 @@ def test_normalize_options_keep_punctuation():
     [tree] = parse_ptb_corpus("(S (N w) (. .))")
     kept = normalize_tree(tree, strip_punctuation=False)
     assert leaf_surfaces(kept) == ["w", "."]
+    [traced] = parse_ptb_corpus("(S (N w) (-NONE- *T*) (. .))")  # traces go either way
+    assert leaf_surfaces(normalize_tree(traced, strip_punctuation=False)) == ["w", "."]
 
 
 def test_normalize_deep_chain_does_not_recurse():
