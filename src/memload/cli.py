@@ -26,7 +26,7 @@ from .stackdepth import MetricConfig, NumberingScheme, np_depths, word_depths
 from .stats import DEFAULT_THRESHOLDS, OUTPUT_FORMATS, render
 from .treebank import TreebankError, normalize_tree, parse_dep_corpus, parse_ptb_corpus
 
-__all__ = ["InvalidConfig", "RunConfig", "METHODS", "build_parser", "run", "main"]
+__all__ = ["build_parser", "main"]
 
 
 class _Method(NamedTuple):
@@ -37,7 +37,7 @@ class _Method(NamedTuple):
     measures_nps: bool = False
 
 
-METHODS = {
+_METHODS = {
     "dep-load": _Method("dep", None),
     "yngve-word": _Method("ptb", NumberingScheme.YNGVE),
     "sampson-word": _Method("ptb", NumberingScheme.SAMPSON),
@@ -45,11 +45,7 @@ METHODS = {
     "sampson-np": _Method("ptb", NumberingScheme.SAMPSON, measures_nps=True),
 }
 # In the order --help has always listed them: ptb first.
-FORMATS = tuple(dict.fromkeys(m.format for m in reversed(METHODS.values())))
-
-
-class InvalidConfig(ValueError):
-    """Mutually incompatible command-line options."""
+_FORMATS = tuple(dict.fromkeys(m.format for m in reversed(_METHODS.values())))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,20 +59,6 @@ class _Parser(argparse.ArgumentParser):
             self.exit(1)
 
 
-class RunConfig(NamedTuple):
-    """One fully validated analysis request."""
-
-    input_path: Path
-    method: str
-    coordination_adjust: bool = True
-    strip_punctuation: bool = True
-    maximal_np: bool = False
-    output_format: str = "text"
-    thresholds: tuple[int, ...] = DEFAULT_THRESHOLDS
-    strict: bool = False
-    strict_rightward: bool = False
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="memload",
@@ -87,16 +69,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--input", required=True, metavar="FILE", help="treebank file to read")
-    parser.add_argument("--format", required=True, choices=FORMATS, help="input format")
-    parser.add_argument("--method", required=True, choices=METHODS, help="load metric")
+    parser.add_argument("--format", required=True, choices=_FORMATS, help="input format")
+    parser.add_argument("--method", required=True, choices=_METHODS, help="load metric")
     parser.add_argument(
         "--no-coord-adjust",
-        action="store_true",
+        action="store_false",
+        dest="coordination_adjust",
         help="disable conjunct-group renumbering inside coordination (ptb only)",
     )
     parser.add_argument(
         "--keep-punct",
-        action="store_true",
+        action="store_false",
+        dest="strip_punctuation",
         help="keep punctuation leaves instead of stripping them (ptb only)",
     )
     parser.add_argument(
@@ -125,41 +109,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Check option compatibility and build a RunConfig.
+def _check(args: argparse.Namespace) -> tuple[int, ...]:
+    """Check that the options fit together; returns the parsed thresholds.
 
-    Raises InvalidConfig when the method does not fit the input format or a
-    flag does not apply to it.
+    Raises ValueError when the method does not fit the input format, a flag
+    does not apply to it, or a threshold is not an integer.
     """
-    if METHODS[args.method].format != args.format:
-        raise InvalidConfig(
-            "method dep-load requires --format dep; tree methods require --format ptb"
-        )
+    if _METHODS[args.method].format != args.format:
+        raise ValueError("method dep-load requires --format dep; tree methods require --format ptb")
     if args.format == "dep":
         for given, flag in (
-            (args.no_coord_adjust, "--no-coord-adjust"),
-            (args.keep_punct, "--keep-punct"),
+            (not args.coordination_adjust, "--no-coord-adjust"),
+            (not args.strip_punctuation, "--keep-punct"),
             (args.np_selector is not None, "--np-selector"),
         ):
             if given:
-                raise InvalidConfig(f"{flag} applies only to --format ptb")
+                raise ValueError(f"{flag} applies only to --format ptb")
     elif args.strict_rightward:
-        raise InvalidConfig("--strict-rightward applies only to --format dep")
-    return RunConfig(
-        input_path=Path(args.input),
-        method=args.method,
-        coordination_adjust=not args.no_coord_adjust,
-        strip_punctuation=not args.keep_punct,
-        maximal_np=args.np_selector == "maximal",
-        output_format=args.output,
-        thresholds=_parse_thresholds(args.thresholds),
-        strict=args.strict,
-        strict_rightward=args.strict_rightward,
-    )
-
-
-def _parse_thresholds(text: str) -> tuple[int, ...]:
-    parts = text.split(",")
+        raise ValueError("--strict-rightward applies only to --format dep")
+    parts = args.thresholds.split(",")
     try:
         return tuple(map(int, parts))
     except ValueError:
@@ -168,30 +136,30 @@ def _parse_thresholds(text: str) -> tuple[int, ...]:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     for digits in (part.strip().lstrip("+-") for part in parts):
         if limit and len(digits) > limit and digits.isdecimal():
-            raise InvalidConfig(
+            raise ValueError(
                 f"--thresholds value has {len(digits)} digits; Python's int() takes at most {limit}"
             )
-    raise InvalidConfig(f"--thresholds wants comma-separated integers, got {text!r}")
+    raise ValueError(f"--thresholds wants comma-separated integers, got {args.thresholds!r}")
 
 
-def _tally(text: str, config: RunConfig) -> tuple[Counter[int], Counter[int], int, int]:
+def _tally(text: str, args: argparse.Namespace) -> tuple[Counter[int], Counter[int], int, int]:
     """Parse and measure every sentence; returns unit and maximum tables, attempted, skipped."""
-    method = METHODS[config.method]
+    method = _METHODS[args.method]
     # Classes, not exceptions: a raised one's traceback ties the reader's frame into a cycle.
     errors: list[type[TreebankError]] = []
-    on_error = None if config.strict else (lambda exc: errors.append(type(exc)))
+    on_error = None if args.strict else (lambda exc: errors.append(type(exc)))
     if method.scheme is None:
         sentences = parse_dep_corpus(text, on_error=on_error)
         measure = load_profile  # read from this module's globals, as a tracer may wrap it
-        if config.strict_rightward:
+        if args.strict_rightward:
             def measure(sentence):
                 ensure_rightward(sentence)
                 return load_profile(sentence)
 
     else:
         sentences = parse_ptb_corpus(text, on_error=on_error)
-        strip = config.strip_punctuation
-        metric = MetricConfig(method.scheme, config.coordination_adjust, config.maximal_np)
+        strip = args.strip_punctuation
+        metric = MetricConfig(method.scheme, args.coordination_adjust, args.np_selector == "maximal")
         depths = np_depths if method.measures_nps else word_depths
 
         def measure(tree):
@@ -206,7 +174,7 @@ def _tally(text: str, config: RunConfig) -> tuple[Counter[int], Counter[int], in
             try:
                 values = measure(sentence)
             except TreebankError:
-                if config.strict:
+                if args.strict:
                     raise
                 skipped += 1
                 continue
@@ -218,26 +186,24 @@ def _tally(text: str, config: RunConfig) -> tuple[Counter[int], Counter[int], in
     return units, maxima, attempted + len(errors), skipped + len(errors)
 
 
-def run(config: RunConfig) -> int:
-    """Execute one analysis: report on stdout, diagnostics on stderr."""
+def _run(args: argparse.Namespace, thresholds: tuple[int, ...]) -> int:
+    """Execute one checked analysis: report on stdout, diagnostics on stderr."""
     # Every record a run builds is immutable and acyclic, so reference counting
     # frees it; the cyclic collector would only re-walk the whole corpus.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         try:
-            text = Path(config.input_path).read_text(encoding="utf-8")
+            text = Path(args.input).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             _say(f"cannot read input: {exc}")
             return 1
         try:
-            units, maxima, attempted, skipped = _tally(text, config)
+            units, maxima, attempted, skipped = _tally(text, args)
         except TreebankError as exc:
             _say(str(exc))
             return 1
-        report = render(
-            units, maxima, config.output_format, method=config.method, thresholds=config.thresholds
-        )
+        report = render(units, maxima, args.output, method=args.method, thresholds=thresholds)
         try:
             _write(sys.stdout, report)
         except OSError as exc:  # a closed stdout, a full disk, a closed pipe, ...
@@ -284,11 +250,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         try:
-            config = config_from_args(args)
-        except InvalidConfig as exc:
+            thresholds = _check(args)
+        except ValueError as exc:
             _say(str(exc))
             return 2
-        return run(config)
+        return _run(args, thresholds)
     except KeyboardInterrupt:  # Ctrl-C: the shell's 128 + SIGINT, without a traceback
         return 130
     except MemoryError:  # said after the handler, whose traceback keeps the text alive

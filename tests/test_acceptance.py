@@ -30,7 +30,7 @@ from oracles import (
     stack_oracle_depths,
     unit_histogram,
 )
-from memload.cli import RunConfig, run
+from memload.cli import main
 from memload.depload import load_profile
 from memload.stackdepth import MetricConfig, NumberingScheme, word_depths
 from memload.stats import render
@@ -51,12 +51,9 @@ def test_criterion_1_dependency_walkthrough(capsys):
     profile = load_profile(sentence)
     assert profile == (1, 1, 2, 2, 0)
 
-    code = run(
-        RunConfig(
-            input_path=DATA / "boy_doll.dep",
-            method="dep-load",
-            output_format="json",
-        )
+    code = main(
+        ["--input", str(DATA / "boy_doll.dep"), "--format", "dep", "--method", "dep-load",
+         "--output", "json"]
     )
     payload = json.loads(capsys.readouterr().out)
     elapsed = time.perf_counter() - started
@@ -189,17 +186,15 @@ def test_criterion_7_synthetic_scale(tmp_path, capsys):
     dep_file = tmp_path / "scale.dep"
     dep_file.write_text(treegen.random_dep_text(seed=702, n_sentences=n_sentences))
 
-    jobs = [
-        ("dep-load", RunConfig(input_path=dep_file, method="dep-load",
-                               output_format="csv")),
-    ] + [
-        (method, RunConfig(input_path=ptb_file, method=method,
-                           output_format="csv"))
+    jobs = [("dep-load", dep_file, "dep")] + [
+        (method, ptb_file, "ptb")
         for method in ("yngve-word", "sampson-word", "yngve-np", "sampson-np")
     ]
-    for method, run_config in jobs:
+    for method, corpus, fmt in jobs:
         started = time.perf_counter()
-        code = run(run_config)
+        code = main(
+            ["--input", str(corpus), "--format", fmt, "--method", method, "--output", "csv"]
+        )
         elapsed = time.perf_counter() - started
         out = capsys.readouterr().out
         assert code == 0

@@ -14,7 +14,7 @@ import sys
 import tracemalloc
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -24,15 +24,32 @@ import memload
 import treegen
 from oracles import sentence_histogram, unit_histogram
 from memload import (
-    EmptyAfterNormalization, MetricConfig, TreebankError, cli, load_profile, normalize_tree,
-    np_depths, parse_dep_corpus, parse_ptb_corpus, render, word_depths,
+    EmptyAfterNormalization, MetricConfig, NumberingScheme, TreebankError, cli, load_profile,
+    normalize_tree, np_depths, parse_dep_corpus, parse_ptb_corpus, render, word_depths,
 )
-from memload.cli import METHODS, RunConfig, main, run
+from memload.cli import main
 
 DATA = Path(__file__).parent / "data"
 DEP_FIXTURE = str(DATA / "boy_doll.dep")
 PTB_FIXTURE = str(DATA / "boy_doll.ptb")
 PTB_PUNCT_FIXTURE = str(DATA / "boy_doll_punct.ptb")
+
+
+class Method(NamedTuple):
+    """What one --method measures: its input format, numbering (None: dependency load), unit."""
+
+    format: str
+    scheme: NumberingScheme | None
+    measures_nps: bool
+
+
+METHODS = {
+    "dep-load": Method("dep", None, False),
+    "yngve-word": Method("ptb", NumberingScheme.YNGVE, False),
+    "sampson-word": Method("ptb", NumberingScheme.SAMPSON, False),
+    "yngve-np": Method("ptb", NumberingScheme.YNGVE, True),
+    "sampson-np": Method("ptb", NumberingScheme.SAMPSON, True),
+}
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -209,6 +226,71 @@ def test_help_is_argparse_text_on_stdout(capsys):
     assert capsys.readouterr() == (cli.build_parser().format_help(), "")
 
 
+# --help as argparse wraps it at 80 columns; the usage is its first paragraph.
+HELP_AT_80_COLUMNS = """\
+usage: memload [-h] --input FILE --format {ptb,dep} --method
+               {dep-load,yngve-word,sampson-word,yngve-np,sampson-np}
+               [--no-coord-adjust] [--keep-punct]
+               [--np-selector {all,maximal}] [--thresholds T1,T2,...]
+               [--output {text,csv,json}] [--strict] [--strict-rightward]
+
+Frequency tables of short-term memory load over a treebank: how much pending
+material a reader holds at each point of each sentence.
+
+options:
+  -h, --help            show this help message and exit
+  --input FILE          treebank file to read
+  --format {ptb,dep}    input format
+  --method {dep-load,yngve-word,sampson-word,yngve-np,sampson-np}
+                        load metric
+  --no-coord-adjust     disable conjunct-group renumbering inside coordination
+                        (ptb only)
+  --keep-punct          keep punctuation leaves instead of stripping them (ptb
+                        only)
+  --np-selector {all,maximal}
+                        which NP nodes the np methods measure (default: all;
+                        ptb only)
+  --thresholds T1,T2,...
+                        report counts above these values (default: 5,7,9)
+  --output {text,csv,json}
+                        report format
+  --strict              abort on the first bad sentence instead of skipping it
+  --strict-rightward    treat a head left of its unit as an error (dep only)
+"""
+USAGE = HELP_AT_80_COLUMNS.split("\n\n")[0] + "\n"
+
+
+def test_help_at_80_columns_is_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr() == (HELP_AT_80_COLUMNS, "")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--format", "dep", "--method", "dep-load", "--bogus"],
+         USAGE + "memload: error: unrecognized arguments: --bogus\n"),
+        (["--format", "dep", "--method", "dep-load", "--thresholds", "1,a"],
+         "memload: --thresholds wants comma-separated integers, got '1,a'\n"),
+        (["--format", "dep", "--method", "dep-load", "--keep-punct"],
+         "memload: --keep-punct applies only to --format ptb\n"),
+        (["--format", "ptb", "--method", "dep-load"],
+         "memload: method dep-load requires --format dep; tree methods require --format ptb\n"),
+    ],
+    ids=["unknown-option", "thresholds", "keep-punct-dep", "method-format"],
+)
+def test_usage_and_config_errors_are_pinned(monkeypatch, capsys, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(["--input", DEP_FIXTURE, *argv])
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    assert (code, *capsys.readouterr()) == (2, "", err)
+
+
 def test_unknown_method_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["--input", DEP_FIXTURE, "--format", "dep", "--method", "nope"])
@@ -351,7 +433,7 @@ def gc_state(enabled: bool):
         (gc.enable if was_enabled else gc.disable)()
 
 
-# Every way run() returns: a report, an unreadable file, a --strict sentence error.
+# Every way main() returns after a check: a report, an unreadable file, a --strict sentence error.
 EXITS = {
     "report": ("(S (N a))\n(X)\n", [], 0),
     "unreadable": (None, [], 1),
@@ -370,8 +452,6 @@ def test_gc_state_is_restored_on_every_exit(tmp_path, capsys, enabled, exit_path
     with gc_state(enabled):
         assert main(argv) == want
         assert gc.isenabled() is enabled
-        assert run(RunConfig(corpus, "yngve-word", strict="--strict" in flags)) == want
-        assert gc.isenabled() is enabled
     capsys.readouterr()
 
 
@@ -379,14 +459,14 @@ def test_gc_state_is_restored_on_every_exit(tmp_path, capsys, enabled, exit_path
 def test_gc_is_paused_while_sentences_are_measured(monkeypatch, capsys, enabled):
     seen = []
 
-    def collect(text, config):
+    def collect(text, args):
         seen.append(gc.isenabled())
         raise RuntimeError("stop")
 
     monkeypatch.setattr(cli, "_tally", collect)
     with gc_state(enabled):
         with pytest.raises(RuntimeError, match="stop"):
-            run(RunConfig(Path(PTB_FIXTURE), "yngve-word"))
+            main(["--input", PTB_FIXTURE, "--format", "ptb", "--method", "yngve-word"])
         assert gc.isenabled() is enabled
     assert seen == [False]
 
@@ -415,14 +495,18 @@ SKIPPED = {
 
 @pytest.mark.parametrize("method", SKIPPED)
 def test_skipping_sentences_leaves_no_cyclic_garbage(tmp_path, capsys, method):
-    # run() pauses the cyclic collector, so reference counting alone must free
+    # The CLI pauses the cyclic collector, so reference counting alone must free
     # what it builds, on the skip paths too.
     corpus = tmp_path / "skips.txt"
     corpus.write_text(SKIPPED[method], encoding="utf-8")
-    config = RunConfig(corpus, method, output_format="csv", strict_rightward=method == "dep-load")
+    fmt = METHODS[method].format
+    argv = ["--input", str(corpus), "--format", fmt, "--method", method, "--output", "csv"]
+    # Parsed before the baseline collection: argparse's own objects form cycles.
+    args = cli.build_parser().parse_args(argv + ["--strict-rightward"] * (fmt == "dep"))
+    thresholds = cli._check(args)
     with gc_state(False):
         gc.collect()
-        assert run(config) == 0
+        assert cli._run(args, thresholds) == 0
         assert gc.collect() == 0
     assert capsys.readouterr().err.startswith("memload: skipped ")
 
@@ -467,7 +551,9 @@ def test_the_cli_tally_renders_what_the_library_histograms_render(
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(text, encoding="utf-8")
     profiles = library_profiles(text, method)
-    assert run(RunConfig(corpus, method, output_format=fmt, thresholds=(0, 3, 9))) == 0
+    argv = ["--input", str(corpus), "--format", METHODS[method].format, "--method", method,
+            "--output", fmt, "--thresholds", "0,3,9"]
+    assert main(argv) == 0
     out, err = capsys.readouterr()
     assert out == render(
         unit_histogram(profiles), sentence_histogram(profiles), fmt, method=method,
@@ -480,9 +566,12 @@ def test_the_tally_holds_one_sentence_at_a_time(monkeypatch):
     rng = random.Random(7)
     sentences = [treegen.rightward_dep_sentence(rng, 100) for _ in range(5000)]
     monkeypatch.setattr(cli, "parse_dep_corpus", lambda text, on_error=None: sentences)
+    args = cli.build_parser().parse_args(
+        ["--input", "unused", "--format", "dep", "--method", "dep-load"]
+    )
     tracemalloc.start()
     try:
-        units, maxima, attempted, skipped = cli._tally("", RunConfig(Path("unused"), "dep-load"))
+        units, maxima, attempted, skipped = cli._tally("", args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -510,13 +599,14 @@ def test_a_reader_that_yields_is_tallied_as_one_that_returns_a_list(
 ):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(TALLIED[METHODS[method].format], encoding="utf-8")
-    config = RunConfig(corpus, method, strict=strict)
+    argv = ["--input", str(corpus), "--format", METHODS[method].format, "--method", method]
+    argv += ["--strict"] * strict
     reports = []
     for wrap in (False, True):
         if wrap:
             monkeypatch.setattr(cli, "parse_dep_corpus", yielding(parse_dep_corpus))
             monkeypatch.setattr(cli, "parse_ptb_corpus", yielding(parse_ptb_corpus))
-        reports.append((run(config), *capsys.readouterr()))
+        reports.append((main(argv), *capsys.readouterr()))
     assert reports[0] == reports[1]
     assert reports[0][0] == strict
     assert reports[0][2].startswith("memload: " if strict else "memload: skipped ")

@@ -13,6 +13,7 @@ import shlex
 import subprocess
 import sys
 import tokenize
+import types
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,8 @@ from memload import (
     DependencyUnit,
     MetricConfig,
     NumberingScheme,
+    cli,
 )
-from memload.cli import RunConfig
 
 PUBLIC_NAMES = {
     "__version__",
@@ -65,6 +66,19 @@ def test_public_names_are_pinned():
     assert len(memload.__all__) == len(PUBLIC_NAMES)
     for name in memload.__all__:
         getattr(memload, name)
+
+
+def test_the_cli_has_one_front_door():
+    # main(argv) runs the CLI; build_parser is its parser, for --help and probes.
+    assert cli.__all__ == ["build_parser", "main"]
+    defined = {
+        name
+        for name, obj in vars(cli).items()
+        if isinstance(obj, (type, types.FunctionType))
+        and obj.__module__ == cli.__name__
+        and not name.startswith("_")
+    }
+    assert defined <= set(cli.__all__)
 
 
 def test_source_stays_under_the_line_ceiling():
@@ -166,7 +180,6 @@ RECORDS = [
     (DependencyUnit(1, "w", 0), "head"),
     (DependencySentence([DependencyUnit(1, "w1", 0)]), "units"),
     (MetricConfig(NumberingScheme.YNGVE), "scheme"),
-    (RunConfig(Path("corpus.dep"), "dep-load"), "method"),
 ]
 
 
