@@ -56,6 +56,8 @@ def _walk_depths(tree: ConstituencyTree, config: MetricConfig, measure_nps: bool
     Walks an explicit stack of (node, depth, inside an NP), so tree height
     is not bounded by the recursion limit.
     """
+    if not isinstance(config.scheme, NumberingScheme):
+        raise TypeError(f"scheme must be a NumberingScheme, got {config.scheme!r}")
     yngve = config.scheme is NumberingScheme.YNGVE
     adjust = config.coordination_adjust
     values: list[int] = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from itertools import chain, count
 from operator import eq, is_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "TreebankError",
@@ -45,9 +45,12 @@ class PtbParseError(TreebankError):
     """Malformed bracketed input; carries the 1-based line and column."""
 
     def __init__(self, message: str, line: int, column: int) -> None:
-        super().__init__(f"{message} (line {line}, column {column})")
+        super().__init__(message, line, column)  # as __init__ takes them, for pickle and copy
         self.line = line
         self.column = column
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (line {self.line}, column {self.column})"
 
 
 class UnbalancedBrackets(PtbParseError):
@@ -74,8 +77,11 @@ class MalformedLine(DepFormatError):
     """A dependency line that does not parse; carries the 1-based line number."""
 
     def __init__(self, message: str, line_no: int) -> None:
-        super().__init__(f"{message} (line {line_no})")
+        super().__init__(message, line_no)
         self.line_no = line_no
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (line {self.line_no})"
 
 
 class NonContiguousIndices(DepFormatError):
@@ -102,9 +108,6 @@ class _Record:
     """Immutable slotted record with a frozen dataclass's ==, hash() and repr()."""
 
     __slots__ = ()
-
-    def __init_subclass__(cls) -> None:  # the fields are __match_args__, else __slots__
-        cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -137,7 +140,7 @@ class ConstituencyTree(_Record):
     carry a surface form and nothing else.
     """
 
-    __slots__ = ("label", "children", "surface")
+    __match_args__ = __slots__ = ("label", "children", "surface")
 
     def __init__(self, label: str = "", children: Sequence = (), surface: str = "") -> None:
         children = tuple(children)
@@ -146,8 +149,12 @@ class ConstituencyTree(_Record):
                 raise ValueError("internal node requires a label")
             if surface:
                 raise ValueError("internal node cannot carry a surface form")
+            if not all(isinstance(child, ConstituencyTree) for child in children):
+                raise TypeError("every child must be a ConstituencyTree")
         elif not surface:
             raise ValueError("leaf requires a surface form")
+        elif label:
+            raise ValueError("leaf cannot carry a label")
         _set_label(self, label)
         _set_children(self, children)
         _set_surface(self, surface)
@@ -365,18 +372,15 @@ def normalize_tree(tree: ConstituencyTree, *, strip_punctuation: bool = True) ->
     return kept_root[0]
 
 
-class DependencyUnit(_Record):
+class DependencyUnit(NamedTuple):
     """One unit of a dependency sentence: 1-based index, surface form, head.
 
     head is the index of the unit this one depends on, 0 for the root.
     """
 
-    __slots__ = ("index", "surface", "head")
-
-    def __init__(self, index: int, surface: str, head: int) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "head", head)
+    index: int
+    surface: str
+    head: int
 
 
 class DependencySentence(_Record):
@@ -384,10 +388,10 @@ class DependencySentence(_Record):
 
     Indices run exactly 1..n in order, heads stay within 0..n, no unit heads
     itself, and exactly one unit is the root (head 0).  units is built from
-    the two columns when first read, and kept.
+    the two columns each time it is read.
     """
 
-    __slots__ = ("heads", "surfaces", "_units")
+    __slots__ = ("heads", "surfaces")
     __match_args__ = ("units",)
 
     def __init__(self, units: Iterable[DependencyUnit]) -> None:
@@ -410,21 +414,17 @@ class DependencySentence(_Record):
             raise MissingRoot("no unit has head 0")
         _set_heads(self, heads)
         _set_surfaces(self, tuple([unit.surface for unit in units]))
-        _set_units(self, units)
 
     def __len__(self) -> int:
         return len(self.heads)
 
     @property
     def units(self) -> tuple[DependencyUnit, ...]:
-        if self._units is None:
-            _set_units(self, tuple(map(DependencyUnit, count(1), self.surfaces, self.heads)))
-        return self._units
+        return tuple(map(DependencyUnit, count(1), self.surfaces, self.heads))
 
 
 _set_heads = DependencySentence.heads.__set__
 _set_surfaces = DependencySentence.surfaces.__set__
-_set_units = DependencySentence._units.__set__
 
 
 def _dep_sentence(heads: tuple[int, ...], surfaces: tuple[str, ...]) -> DependencySentence:
@@ -432,7 +432,6 @@ def _dep_sentence(heads: tuple[int, ...], surfaces: tuple[str, ...]) -> Dependen
     sentence = object.__new__(DependencySentence)
     _set_heads(sentence, heads)
     _set_surfaces(sentence, surfaces)
-    _set_units(sentence, None)
     return sentence
 
 

@@ -178,7 +178,7 @@ RECORDS = [
     (ConstituencyTree(surface="w"), "surface"),
     (ConstituencyTree("S", [ConstituencyTree(surface="w")]), "children"),
     (DependencyUnit(1, "w", 0), "head"),
-    (DependencySentence([DependencyUnit(1, "w1", 0)]), "units"),
+    (DependencySentence([DependencyUnit(1, "w1", 0)]), "heads"),
     (MetricConfig(NumberingScheme.YNGVE), "scheme"),
 ]
 

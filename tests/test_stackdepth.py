@@ -6,6 +6,8 @@ import functools
 import itertools
 import random
 
+import pytest
+
 import treegen
 from oracles import grouped_stack_oracle_depths, stack_oracle_depths
 from memload.stackdepth import MetricConfig, NumberingScheme, np_depths, word_depths
@@ -300,6 +302,16 @@ def test_depth_zero_words_agree_between_schemes_unadjusted():
         zeros_y = [i for i, v in enumerate(y) if v == 0]
         zeros_s = [i for i, v in enumerate(s) if v == 0]
         assert zeros_y == zeros_s == [len(y) - 1]
+
+
+@pytest.mark.parametrize("scheme", ["yngve", None])
+def test_a_scheme_that_is_not_a_numbering_scheme_raises(scheme):
+    # Else every scheme but YNGVE numbers as sampson: (1, 1, 1, 0), not yngve's (3, 2, 1, 0).
+    tree = tree_of("(S (A a) (B b) (C c) (D d))")
+    assert word_depths(tree, config(YNGVE)) == (3, 2, 1, 0)
+    for depths in (word_depths, np_depths):
+        with pytest.raises(TypeError, match="NumberingScheme"):
+            depths(tree, MetricConfig(scheme))
 
 
 def test_np_depths_example():

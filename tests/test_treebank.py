@@ -176,6 +176,36 @@ def test_nested_unlabeled_node_rejected():
 
 
 @pytest.mark.parametrize(
+    "read, text, error, message",
+    [
+        (parse_ptb_corpus, "(S (N a)) )", UnbalancedBrackets, "unmatched ')' (line 1, column 11)"),
+        (parse_ptb_corpus, "(N a)\n (X)", EmptyTree, "node 'X' has no children (line 2, column 2)"),
+        (
+            parse_ptb_corpus,
+            "hello",
+            LeafWithoutLabel,
+            "surface token 'hello' outside any tree (line 1, column 1)",
+        ),
+        (parse_ptb_corpus, "(S ((N w)))", PtbParseError, "node without a label (line 1, column 4)"),
+        (
+            parse_dep_corpus,
+            "1\ta\t0\n\n1\tb\n",
+            MalformedLine,
+            "expected INDEX<TAB>SURFACE<TAB>HEAD, got 2 field(s) (line 3)",
+        ),
+    ],
+    ids=["UnbalancedBrackets", "EmptyTree", "LeafWithoutLabel", "PtbParseError", "MalformedLine"],
+)
+def test_positioned_errors_survive_pickle_and_copy(read, text, error, message):
+    with pytest.raises(error) as info:
+        read_all(read, text)
+    raised = info.value
+    assert type(raised) is error and str(raised) == message
+    for clone in (pickle.loads(pickle.dumps(raised)), copy.copy(raised), copy.deepcopy(raised)):
+        assert type(clone) is error and str(clone) == message and vars(clone) == vars(raised)
+
+
+@pytest.mark.parametrize(
     "newline",
     ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
     ids=["lf", "crlf", "cr", "vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps"],
@@ -562,6 +592,13 @@ def test_tree_constructor_invariants():
         ConstituencyTree(label="X")
     with pytest.raises(ValueError):
         ConstituencyTree(label="X", children=(ConstituencyTree(surface="w"),), surface="y")
+    # A child that only prints like a tree, and a leaf with a label, break == and the round trip.
+    with pytest.raises(TypeError):
+        ConstituencyTree("S", ["ConstituencyTree(label='', children=(), surface='a')"])
+    with pytest.raises(TypeError):
+        ConstituencyTree("S", [ConstituencyTree(surface="a"), ("a",)])
+    with pytest.raises(ValueError):
+        ConstituencyTree(label="N", surface="a")
 
 
 def test_parse_dep_example():
@@ -1148,14 +1185,31 @@ def test_reader_built_sentences_match_constructed_ones(built):
     for clone in (pickle.loads(pickle.dumps(read)), copy.copy(read), copy.deepcopy(read)):
         assert type(clone) is DependencySentence
         assert clone == built and hash(clone) == hash(built) and repr(clone) == repr(built)
-    assert read.units is read.units and read.units == built.units
+    assert read.units == built.units
 
 
-def test_constructed_sentence_keeps_its_units():
+def test_constructed_sentence_gives_back_equal_units():
     units = (DependencyUnit(1, "a", 2), DependencyUnit(2, "b", 0))
     sentence = DependencySentence(units)
-    assert sentence.units is units
+    assert sentence.units == units and sentence.units == ((1, "a", 2), (2, "b", 0))
     assert sentence.heads == (2, 0) and sentence.surfaces == ("a", "b")
+
+
+def test_reading_units_leaves_a_sentence_no_larger():
+    heads = [*range(2, 1001), 0]
+    text = treegen.dep_text([treegen.from_heads(heads), treegen.from_heads(heads, "w" * 1000)])
+    warm, warm_other, one, other = parse_dep_corpus(text + "\n" + text)
+    # Whatever a first read, compare and hash load, they load here.
+    assert warm != warm_other and len({warm, warm_other}) == 2
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert len(one.units) == len(other.units) == 1000
+        assert one != other and len({one, other}) == 2
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 2_000  # 1,000 units kept take about 80 KB a sentence
 
 
 def test_normalize_label_rules():
