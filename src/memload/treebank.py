@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain, count
-from operator import eq, is_
+from operator import eq, index, is_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -104,36 +104,11 @@ class HeadOutOfRange(DepFormatError):
     """A head index falls outside 0..n."""
 
 
-class _Record:
-    """Immutable slotted record with a frozen dataclass's ==, hash() and repr()."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return self.__class__, self._fields()
+def _read_only(self, name: str, value: object = None) -> None:
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
 
 
-class ConstituencyTree(_Record):
+class ConstituencyTree:
     """Ordered labeled tree.
 
     Internal nodes carry a category label and at least one child; leaves
@@ -141,6 +116,7 @@ class ConstituencyTree(_Record):
     """
 
     __match_args__ = __slots__ = ("label", "children", "surface")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, label: str = "", children: Sequence = (), surface: str = "") -> None:
         children = tuple(children)
@@ -207,6 +183,9 @@ class ConstituencyTree(_Record):
             ", ",
             lambda node: f"{',' if len(node.children) == 1 else ''}), surface={node.surface!r})",
         )
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.label, self.children, self.surface)
 
 
 _set_label = ConstituencyTree.label.__set__
@@ -383,37 +362,38 @@ class DependencyUnit(NamedTuple):
     head: int
 
 
-class DependencySentence(_Record):
+class DependencySentence:
     """A validated dependency sentence, stored as its heads and surfaces.
 
-    Indices run exactly 1..n in order, heads stay within 0..n, no unit heads
-    itself, and exactly one unit is the root (head 0).  units is built from
-    the two columns each time it is read.
+    Indices run exactly 1..n in order, heads are integers within 0..n, no
+    unit heads itself, and exactly one unit is the root (head 0).  units is
+    built from the two columns each time it is read.
     """
 
     __slots__ = ("heads", "surfaces")
-    __match_args__ = ("units",)
+    __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, units: Iterable[DependencyUnit]) -> None:
-        units = tuple(units)
-        n, indices = len(units), [unit.index for unit in units]
-        if indices != list(range(1, n + 1)):
-            message = f"unit indices must be exactly 1..{n} in order, got {indices}"
+    def __init__(self, units: Iterable[tuple[int, str, int]]) -> None:
+        # Read by position, so a unit is any (index, surface, head) tuple.
+        indices, surfaces, heads = [*zip(*units, strict=True)] or ((), (), ())
+        n = len(indices)
+        if indices != tuple(range(1, n + 1)):
+            message = f"unit indices must be exactly 1..{n} in order, got {[*indices]}"
             raise NonContiguousIndices(message)
-        heads = tuple([unit.head for unit in units])
+        heads = tuple(map(index, heads))  # a head that is not an integer raises TypeError
         # The first bad head, else a root count other than one.
-        for index, head in enumerate(heads, start=1):
-            if head == index:
-                raise SelfHead(f"unit {index} depends on itself")
+        for unit, head in enumerate(heads, start=1):
+            if head == unit:
+                raise SelfHead(f"unit {unit} depends on itself")
             if not 0 <= head <= n:
-                raise HeadOutOfRange(f"unit {index} has head {head}, outside 0..{n}")
-        roots = [index for index, head in enumerate(heads, start=1) if head == 0]
+                raise HeadOutOfRange(f"unit {unit} has head {head}, outside 0..{n}")
+        roots = [unit for unit, head in enumerate(heads, start=1) if head == 0]
         if len(roots) > 1:
             raise MultipleRoots(f"units {roots} all have head 0")
         if not roots:
             raise MissingRoot("no unit has head 0")
         _set_heads(self, heads)
-        _set_surfaces(self, tuple([unit.surface for unit in units]))
+        _set_surfaces(self, surfaces)
 
     def __len__(self) -> int:
         return len(self.heads)
@@ -421,6 +401,22 @@ class DependencySentence(_Record):
     @property
     def units(self) -> tuple[DependencyUnit, ...]:
         return tuple(map(DependencyUnit, count(1), self.surfaces, self.heads))
+
+    # == and hash() read the two columns; repr() and pickle build units, so unpickling is checked.
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.heads == other.heads and self.surfaces == other.surfaces
+
+    def __hash__(self) -> int:
+        return hash((self.heads, self.surfaces))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(units={self.units!r})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.units,)
 
 
 _set_heads = DependencySentence.heads.__set__

@@ -131,6 +131,30 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_no_module_keeps_a_private_name_it_never_reads():
+    # A deletion can leave a private helper behind, unread, as it can an import.
+    source = Path(memload.__file__).parent
+    unread = []
+    for path in sorted(source.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {}  # each module-level function, class and assigned name, with its line
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = node.lineno
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in getattr(node, "targets", None) or [node.target]:
+                    defined.update((name.id, node.lineno) for name in ast.walk(target)
+                                   if isinstance(name, ast.Name))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [f"{path.name}:{line} {name}" for name, line in defined.items()
+                   if name[:1] == "_" and name[:2] != "__" and name not in read]
+    assert unread == []
+
+
 def test_the_installed_command_is_the_module_entry():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -181,11 +205,13 @@ RECORDS = [
     (DependencySentence([DependencyUnit(1, "w1", 0)]), "heads"),
     (MetricConfig(NumberingScheme.YNGVE), "scheme"),
 ]
+RECORD_IDS = [type(record).__name__ for record, _ in RECORDS]
+# A sentence built from plain tuples, under its own id so that the others keep theirs.
+RECORDS.append((DependencySentence([(1, "w1", 0)]), "surfaces"))
+RECORD_IDS.append("DependencySentence-of-tuples")
 
 
-@pytest.mark.parametrize(
-    "record, field", RECORDS, ids=[type(record).__name__ for record, _ in RECORDS]
-)
+@pytest.mark.parametrize("record, field", RECORDS, ids=RECORD_IDS)
 def test_records_are_immutable(record, field):
     before = getattr(record, field)
     with pytest.raises(AttributeError):
@@ -195,9 +221,7 @@ def test_records_are_immutable(record, field):
     assert getattr(record, field) is before
 
 
-@pytest.mark.parametrize(
-    "record", [record for record, _ in RECORDS], ids=[type(r).__name__ for r, _ in RECORDS]
-)
+@pytest.mark.parametrize("record", [record for record, _ in RECORDS], ids=RECORD_IDS)
 def test_records_survive_pickle_and_copy(record):
     for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert type(clone) is type(record) and clone == record

@@ -686,6 +686,10 @@ def test_head_out_of_range():
         ([(1, 0), (2, 0), (3, 3)], SelfHead, "unit 3 depends on itself"),
         ([(1, 2), (2, 1), (3, -1)], HeadOutOfRange, "unit 3 has head -1, outside 0..3"),
         ([(1, 0), (2, 1), (3, 0)], MultipleRoots, "units [1, 3] all have head 0"),
+        # A head that is not an integer fails here, not in the metric; a bad index still wins.
+        ([(1, 2.0), (2, 0)], TypeError, "'float' object cannot be interpreted as an integer"),
+        ([(1, "2"), (2, 0)], TypeError, "'str' object cannot be interpreted as an integer"),
+        ([(2, 1.5), (1, 0)], NonContiguousIndices, "got [2, 1]"),
     ],
 )
 def test_dep_validation_precedence(heads_and_indices, error, message):
@@ -1193,6 +1197,13 @@ def test_constructed_sentence_gives_back_equal_units():
     sentence = DependencySentence(units)
     assert sentence.units == units and sentence.units == ((1, "a", 2), (2, "b", 0))
     assert sentence.heads == (2, 0) and sentence.surfaces == ("a", "b")
+    # A unit is read by position, so plain tuples build the same sentence.
+    plain = DependencySentence([(1, "a", 2), (2, "b", 0)])
+    assert plain == sentence and hash(plain) == hash(sentence) and repr(plain) == repr(sentence)
+    for units in ([(1, "a")], [(1, "a", 0, 0)], [(1, "a", 2), (2, "b")]):
+        with pytest.raises(ValueError) as info:
+            DependencySentence(units)
+        assert type(info.value) is ValueError  # the wrong arity, not a treebank error
 
 
 def test_reading_units_leaves_a_sentence_no_larger():
@@ -1210,6 +1221,21 @@ def test_reading_units_leaves_a_sentence_no_larger():
     finally:
         tracemalloc.stop()
     assert after - before < 2_000  # 1,000 units kept take about 80 KB a sentence
+
+
+def test_comparing_sentences_builds_no_units():
+    text = treegen.dep_text([treegen.from_heads([*range(2, 1001), 0])])
+    warm, warm_same, one, same = parse_dep_corpus("\n".join([text] * 4))
+    assert one is not same
+    # Whatever a first compare and hash load, they load here.
+    assert warm == warm_same and hash(warm) == hash(warm_same)
+    tracemalloc.start()
+    try:
+        assert one == same and hash(one) == hash(same)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000  # 2,000 units built to compare would take about 200 KB
 
 
 def test_normalize_label_rules():
