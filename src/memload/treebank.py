@@ -362,11 +362,27 @@ class DependencyUnit(NamedTuple):
     head: int
 
 
+def _check_heads(heads: tuple[int, ...]) -> None:
+    """Raise the first broken head rule: by unit, a self-head or a head outside 0..n; then roots."""
+    n = len(heads)
+    for unit, head in enumerate(heads, start=1):
+        if head == unit:
+            raise SelfHead(f"unit {unit} depends on itself")
+        if not 0 <= head <= n:
+            raise HeadOutOfRange(f"unit {unit} has head {head}, outside 0..{n}")
+    roots = [unit for unit, head in enumerate(heads, start=1) if head == 0]
+    if len(roots) > 1:
+        raise MultipleRoots(f"units {roots} all have head 0")
+    if not roots:
+        raise MissingRoot("no unit has head 0")
+
+
 class DependencySentence:
     """A validated dependency sentence, stored as its heads and surfaces.
 
     Indices run exactly 1..n in order, heads are integers within 0..n, no
-    unit heads itself, and exactly one unit is the root (head 0).  units is
+    unit heads itself, and exactly one unit is the root (head 0).  A broken
+    head rule raises the error parse_dep_corpus gives for it.  units is
     built from the two columns each time it is read.
     """
 
@@ -376,22 +392,11 @@ class DependencySentence:
     def __init__(self, units: Iterable[tuple[int, str, int]]) -> None:
         # Read by position, so a unit is any (index, surface, head) tuple.
         indices, surfaces, heads = [*zip(*units, strict=True)] or ((), (), ())
-        n = len(indices)
-        if indices != tuple(range(1, n + 1)):
-            message = f"unit indices must be exactly 1..{n} in order, got {[*indices]}"
+        if indices != tuple(range(1, len(indices) + 1)):
+            message = f"unit indices must be exactly 1..{len(indices)} in order, got {[*indices]}"
             raise NonContiguousIndices(message)
         heads = tuple(map(index, heads))  # a head that is not an integer raises TypeError
-        # The first bad head, else a root count other than one.
-        for unit, head in enumerate(heads, start=1):
-            if head == unit:
-                raise SelfHead(f"unit {unit} depends on itself")
-            if not 0 <= head <= n:
-                raise HeadOutOfRange(f"unit {unit} has head {head}, outside 0..{n}")
-        roots = [unit for unit, head in enumerate(heads, start=1) if head == 0]
-        if len(roots) > 1:
-            raise MultipleRoots(f"units {roots} all have head 0")
-        if not roots:
-            raise MissingRoot("no unit has head 0")
+        _check_heads(heads)
         _set_heads(self, heads)
         _set_surfaces(self, surfaces)
 
@@ -421,14 +426,6 @@ class DependencySentence:
 
 _set_heads = DependencySentence.heads.__set__
 _set_surfaces = DependencySentence.surfaces.__set__
-
-
-def _dep_sentence(heads: tuple[int, ...], surfaces: tuple[str, ...]) -> DependencySentence:
-    """A sentence built unchecked; _read_bulk has checked it as __init__ would."""
-    sentence = object.__new__(DependencySentence)
-    _set_heads(sentence, heads)
-    _set_surfaces(sentence, surfaces)
-    return sentence
 
 
 _SPACE_LINE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")  # a line of only whitespace, after a break
@@ -476,7 +473,7 @@ def _read_bulk(block: str, n: int, numerals: list, values: dict) -> DependencySe
     """The sentence of n lines joined by "\n", if written as str() writes it; else None.
 
     Where the tab count misses, comment lines are dropped first.  Indices are matched with
-    numerals (grown here to 2n + 1), heads looked up in values; a broken head rule is None.
+    numerals (grown here to 2n + 1), heads looked up in values; a broken head rule raises.
     """
     if (tabs := block.count("\t")) != 2 * n and (block[:1] == "#" or "\n#" in block):
         block = _COMMENT.sub("", "\n" + block)[1:]
@@ -499,8 +496,11 @@ def _read_bulk(block: str, n: int, numerals: list, values: dict) -> DependencySe
     except KeyError:  # a head past the table, or not written as str() writes it
         return None
     if max(heads) > n or heads.count(0) != 1 or any(map(eq, heads, range(1, n + 1))):
-        return None
-    return _dep_sentence(heads, surfaces)
+        _check_heads(heads)  # no head is negative, so a head rule is broken: this raises
+    sentence = object.__new__(DependencySentence)  # its heads are checked, so no __init__
+    _set_heads(sentence, heads)
+    _set_surfaces(sentence, surfaces)
+    return sentence
 
 
 def _walk(block: list[str], first: int) -> tuple:
@@ -521,5 +521,5 @@ def _walk(block: list[str], first: int) -> tuple:
             raise MalformedLine("index and head must be integers", line_no)
         if not fields[1]:
             raise MalformedLine("empty surface field", line_no)
-        units.append(DependencyUnit(index, fields[1], head))
-    return (DependencySentence(tuple(units)),) if units else ()
+        units.append((index, fields[1], head))
+    return (DependencySentence(units),) if units else ()

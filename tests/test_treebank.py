@@ -674,6 +674,31 @@ def test_head_out_of_range():
         read_all(parse_dep_corpus, "1\ta\t-1\n2\tb\t0\n")
 
 
+def outcome(make, *args) -> object:
+    """make(*args), or the class and message of the DepFormatError or TypeError it raises."""
+    try:
+        return make(*args)
+    except (DepFormatError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def seeded_head_columns(seed: int, count: int) -> list:
+    """(index, head) columns of valid sentences of 1..6 units, each head replaced with
+    probability one half by a negative head, a head above 2n, a root, a self-head or any
+    head within 1..n."""
+    rng = random.Random(seed)
+    columns = []
+    for sentence in treegen.random_dep_sentences(seed, count, max_len=6):
+        n, column = len(sentence), []
+        for unit, head in enumerate(sentence.heads, start=1):
+            faults = (
+                -rng.randint(1, 2 * n), rng.randint(2 * n + 1, 3 * n), 0, unit, rng.randint(1, n)
+            )
+            column.append((unit, rng.choice(faults) if rng.random() < 0.5 else head))
+        columns.append(pytest.param(column, None, None, id=f"seeded-{len(columns)}"))
+    return columns
+
+
 @pytest.mark.parametrize(
     "heads_and_indices, error, message",
     [
@@ -690,13 +715,20 @@ def test_head_out_of_range():
         ([(1, 2.0), (2, 0)], TypeError, "'float' object cannot be interpreted as an integer"),
         ([(1, "2"), (2, 0)], TypeError, "'str' object cannot be interpreted as an integer"),
         ([(2, 1.5), (1, 0)], NonContiguousIndices, "got [2, 1]"),
+        # Any column: the reader, in bulk and line by line, gives what the constructor gives.
+        *seeded_head_columns(seed=35, count=60),
     ],
 )
 def test_dep_validation_precedence(heads_and_indices, error, message):
     units = tuple(DependencyUnit(index, f"w{index}", head) for index, head in heads_and_indices)
-    with pytest.raises(error) as info:
-        DependencySentence(units)
-    assert message in str(info.value)
+    built = outcome(lambda: [DependencySentence(units)])
+    if error is not None:
+        assert built[0] is error and message in built[1]
+    if all(type(head) is int for _, head in heads_and_indices):
+        text = "".join(f"{index}\tw{index}\t{head}\n" for index, head in heads_and_indices)
+        # A root written "00" is no numeral of the bulk table, so its block is walked.
+        for written in (text, text.replace("\t0\n", "\t00\n")):
+            assert outcome(read_all, parse_dep_corpus, written) == built
 
 
 def test_dep_on_error_skips_bad_blocks():
@@ -1022,8 +1054,9 @@ def test_dep_int_edge_cases_read_as_int_does():
         ("1\ta\t-1\n2\tb\t0\n", HeadOutOfRange),  # fails the head lookup with a KeyError
         ("1\ta\t1_0\n2\tb\t0\n", HeadOutOfRange),
         ("01\ta\t0\n2\tb\n", MalformedLine),  # an odd numeral, then a line cut short
+        ("1\ta\t0\n2\tb\t2\n", SelfHead),  # read in bulk, past the head lookup's handler
     ],
-    ids=["head-minus-one", "head-1_0", "odd-numeral-then-cut-line"],
+    ids=["head-minus-one", "head-1_0", "odd-numeral-then-cut-line", "self-head-in-bulk"],
 )
 def test_per_line_errors_carry_no_exception_context(text, error):
     # A __context__ would hold a traceback, and with it the reader's frame and lines.
@@ -1106,18 +1139,24 @@ def dep_variants(text: str) -> dict[str, str]:
     }
 
 
-def read_counting_units(monkeypatch, text: str, **kwargs) -> tuple[list, list[tuple]]:
-    """parse_dep_corpus(text), and the (index, surface, head) of each DependencyUnit it built."""
-    built, unit = [], treebank.DependencyUnit
+def read_recording(monkeypatch, text: str, **kwargs) -> tuple[list, list[str], list[list[str]]]:
+    """parse_dep_corpus(text), the block each _read_bulk call got, and the lines each _walk got."""
+    read, walked = [], []
+    read_bulk, walk = treebank._read_bulk, treebank._walk
 
-    def counted(*fields):
-        built.append(fields)
-        return unit(*fields)
+    def bulk(block, *args):
+        read.append(block)
+        return read_bulk(block, *args)
+
+    def lines(block, first):
+        walked.append(list(block))
+        return walk(block, first)
 
     with monkeypatch.context() as patch:
-        patch.setattr(treebank, "DependencyUnit", counted)
+        patch.setattr(treebank, "_read_bulk", bulk)
+        patch.setattr(treebank, "_walk", lines)
         sentences = read_all(parse_dep_corpus, text, **kwargs)
-    return sentences, built
+    return sentences, read, walked
 
 
 @pytest.mark.parametrize(
@@ -1134,20 +1173,13 @@ def read_counting_units(monkeypatch, text: str, **kwargs) -> tuple[list, list[tu
     ],
 )
 def test_a_written_corpus_is_read_in_bulk(monkeypatch, variant):
-    # A block that fell to the line walk would build one DependencyUnit per line, and
+    # A block that fell to the line walk would be read a second time, line by line, and
     # one that failed its first bulk read would be read in bulk a second time.
     text = treegen.random_dep_text(seed=20, n_sentences=300)
-    blocks, read_bulk = [], treebank._read_bulk
-
-    def counted(block, *args):
-        blocks.append(block)
-        return read_bulk(block, *args)
-
-    monkeypatch.setattr(treebank, "_read_bulk", counted)
-    sentences, built = read_counting_units(monkeypatch, dep_variants(text)[variant])
-    assert built == []
+    sentences, read, walked = read_recording(monkeypatch, dep_variants(text)[variant])
+    assert walked == []
     assert sentences == treegen.random_dep_sentences(seed=20, count=300, max_len=25)
-    assert len(blocks) == 300
+    assert len(read) == 300
 
 
 @pytest.mark.parametrize(
@@ -1171,12 +1203,52 @@ def test_a_malformed_line_walks_its_own_block_only(monkeypatch, variant):
     blocks[k] = "\n".join(lines) + "\n"
     text = "\n".join(blocks)
     errors: list[Exception] = []
-    read, built = read_counting_units(
+    read, _, walked = read_recording(
         monkeypatch, dep_variants(text)[variant], on_error=errors.append
     )
     assert [type(e) for e in errors] == [MalformedLine] and "got 2 field(s)" in str(errors[0])
-    assert built == [(unit.index, unit.surface, unit.head) for unit in sentences[k].units[:2]]
+    assert [[line for line in block if line[:1] != "#"] for block in walked] == [lines]
     assert read == sentences[:k] + sentences[k + 1 :]
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [
+        ("self-head", SelfHead),
+        ("head in n+1..2n", HeadOutOfRange),
+        ("two roots", MultipleRoots),
+        ("no root", MissingRoot),
+    ],
+)
+def test_a_written_block_that_breaks_a_head_rule_is_read_once(monkeypatch, fault, error):
+    # Every block is written as str() writes it, so its one bulk read decides it.
+    rng = random.Random(35)
+    columns = [[*s.heads] for s in treegen.random_dep_sentences(seed=35, count=200, max_len=25)]
+    for heads in (heads for heads in columns[2::5] if len(heads) > 1):
+        n, root = len(heads), heads.index(0) + 1
+        unit = rng.choice([unit for unit in range(1, n + 1) if unit != root])
+        if fault == "self-head":
+            heads[unit - 1] = unit
+        elif fault == "head in n+1..2n":
+            heads[unit - 1] = rng.randint(n + 1, 2 * n)
+        elif fault == "two roots":
+            heads[unit - 1] = 0
+        else:
+            heads[root - 1] = rng.choice([head for head in range(1, n + 1) if head != root])
+    blocks = (
+        "\n".join(f"{unit}\tw{unit}\t{head}" for unit, head in enumerate(heads, start=1))
+        for heads in columns
+    )
+    text = "\n\n".join(blocks) + "\n"
+    built = [outcome(treegen.from_heads, heads) for heads in columns]
+    faults = [fault for fault in built if type(fault) is tuple]
+    assert {kind for kind, _ in faults} == {error} and len(faults) >= 30
+    errors: list[Exception] = []
+    sentences, read, walked = read_recording(monkeypatch, text, on_error=errors.append)
+    assert len(read) == len(columns) and walked == []
+    assert sentences == [sentence for sentence in built if type(sentence) is not tuple]
+    assert [(type(exc), str(exc)) for exc in errors] == faults
+    assert outcome(read_all, parse_dep_corpus, text) == faults[0]
 
 
 @settings(max_examples=100, deadline=None)
