@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--input", required=True, metavar="FILE", help="treebank file to read")
-    parser.add_argument("--format", required=True, choices=_FORMATS, help="input format")
+    parser.add_argument("--format", choices=_FORMATS, help="input format (default: the method's)")
     parser.add_argument("--method", required=True, choices=_METHODS, help="load metric")
     parser.add_argument(
         "--no-coord-adjust",
@@ -112,12 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _check(args: argparse.Namespace) -> tuple[int, ...]:
     """Check that the options fit together; returns the parsed thresholds.
 
-    Raises ValueError when the method does not fit the input format, a flag
-    does not apply to it, or a threshold is not an integer.
+    Raises ValueError when --format is not the method's input format, a flag
+    does not apply to that format, or a threshold is not an integer.
     """
-    if _METHODS[args.method].format != args.format:
+    if args.format not in (None, fmt := _METHODS[args.method].format):
         raise ValueError("method dep-load requires --format dep; tree methods require --format ptb")
-    if args.format == "dep":
+    if fmt == "dep":
         for given, flag in (
             (not args.coordination_adjust, "--no-coord-adjust"),
             (not args.strip_punctuation, "--keep-punct"),

@@ -439,8 +439,8 @@ def parse_dep_corpus(
 
     Lines break where str.splitlines breaks them and lose one leading
     byte-order mark, a line of only whitespace is blank, and lines starting
-    with "#" are ignored.  Index and head are read as int() reads them: in
-    bulk where a block is written as str() writes it, else line by line.
+    with "#" are ignored.  Index and head are read as int() reads them: in bulk
+    where a block is laid out and numbered as str() writes it, else line by line.
     With the default on_error=None the first malformed sentence raises; with
     a callback each error is reported to it and the sentence skipped.
     """
@@ -470,10 +470,10 @@ def parse_dep_corpus(
 
 
 def _read_bulk(block: str, n: int, numerals: list, values: dict) -> DependencySentence | None:
-    """The sentence of n lines joined by "\n", if written as str() writes it; else None.
+    """The sentence of n lines joined by "\n"; None unless laid out and numbered as str() writes it.
 
     Where the tab count misses, comment lines are dropped first.  Indices are matched with
-    numerals (grown here to 2n + 1), heads looked up in values; a broken head rule raises.
+    numerals (grown here to 2n + 1); heads are looked up in values, else read by int().
     """
     if (tabs := block.count("\t")) != 2 * n and (block[:1] == "#" or "\n#" in block):
         block = _COMMENT.sub("", "\n" + block)[1:]
@@ -493,10 +493,14 @@ def _read_bulk(block: str, n: int, numerals: list, values: dict) -> DependencySe
         return None
     try:
         heads = tuple(map(values.__getitem__, fields[2::4]))
-    except KeyError:  # a head past the table, or not written as str() writes it
-        return None
-    if max(heads) > n or heads.count(0) != 1 or any(map(eq, heads, range(1, n + 1))):
-        _check_heads(heads)  # no head is negative, so a head rule is broken: this raises
+    except KeyError:  # a head past the table, or written another way: int() reads it below
+        heads = ()
+    if not heads or max(heads) > n or heads.count(0) != 1 or any(map(eq, heads, range(1, n + 1))):
+        try:  # out of the KeyError handler, so no error raised here has a __context__
+            heads = heads or tuple(map(int, fields[2::4]))
+        except ValueError:  # None: the walk names the line whose head is not an integer
+            return None
+        _check_heads(heads)  # a head from the table is never negative: for those, this raises
     sentence = object.__new__(DependencySentence)  # its heads are checked, so no __init__
     _set_heads(sentence, heads)
     _set_surfaces(sentence, surfaces)

@@ -152,36 +152,40 @@ def test_csv_output_with_threshold_comments(capsys):
 @pytest.mark.parametrize("method", METHODS)
 def test_method_format_mismatch_is_config_error(capsys, method):
     wrong_format = "ptb" if METHODS[method].format == "dep" else "dep"
-    code, out, err = run_cli(
-        capsys,
-        "--input", DEP_FIXTURE, "--format", wrong_format, "--method", method,
-    )
-    assert code == 2
-    assert out == ""
-    assert err == (
-        "memload: method dep-load requires --format dep; "
-        "tree methods require --format ptb\n"
-    )
+    # The mismatch is named before any flag that does not fit either format.
+    for flags in ([], ["--keep-punct"], ["--strict-rightward"]):
+        code, out, err = run_cli(
+            capsys,
+            "--input", DEP_FIXTURE, "--format", wrong_format, "--method", method, *flags,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "memload: method dep-load requires --format dep; "
+            "tree methods require --format ptb\n"
+        )
 
 
 def test_tree_flags_rejected_for_dep_input(capsys):
-    for flag in (["--no-coord-adjust"], ["--keep-punct"], ["--np-selector", "all"]):
-        code, _, err = run_cli(
-            capsys,
-            "--input", DEP_FIXTURE, "--format", "dep", "--method", "dep-load", *flag,
-        )
-        assert code == 2
-        assert "ptb" in err
+    for flags, named in (
+        (["--no-coord-adjust"], "--no-coord-adjust"),
+        (["--keep-punct"], "--keep-punct"),
+        (["--np-selector", "all"], "--np-selector"),
+        # The first flag in the check's order is named, whatever the order given.
+        (["--keep-punct", "--no-coord-adjust"], "--no-coord-adjust"),
+    ):
+        for given in (["--format", "dep"], []):  # the method sets the format
+            assert run_cli(
+                capsys, "--input", DEP_FIXTURE, *given, "--method", "dep-load", *flags
+            ) == (2, "", f"memload: {named} applies only to --format ptb\n")
 
 
 def test_rightward_flag_rejected_for_ptb_input(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "--input", PTB_FIXTURE, "--format", "ptb", "--method", "yngve-word",
-        "--strict-rightward",
-    )
-    assert code == 2
-    assert "dep" in err
+    for method in (method for method in METHODS if METHODS[method].format == "ptb"):
+        for given in (["--format", "ptb"], []):  # the method sets the format
+            assert run_cli(
+                capsys, "--input", PTB_FIXTURE, *given, "--method", method, "--strict-rightward"
+            ) == (2, "", "memload: --strict-rightward applies only to --format dep\n")
 
 
 def test_bad_thresholds_are_config_errors(capsys):
@@ -228,7 +232,7 @@ def test_help_is_argparse_text_on_stdout(capsys):
 
 # --help as argparse wraps it at 80 columns; the usage is its first paragraph.
 HELP_AT_80_COLUMNS = """\
-usage: memload [-h] --input FILE --format {ptb,dep} --method
+usage: memload [-h] --input FILE [--format {ptb,dep}] --method
                {dep-load,yngve-word,sampson-word,yngve-np,sampson-np}
                [--no-coord-adjust] [--keep-punct]
                [--np-selector {all,maximal}] [--thresholds T1,T2,...]
@@ -240,7 +244,7 @@ material a reader holds at each point of each sentence.
 options:
   -h, --help            show this help message and exit
   --input FILE          treebank file to read
-  --format {ptb,dep}    input format
+  --format {ptb,dep}    input format (default: the method's)
   --method {dep-load,yngve-word,sampson-word,yngve-np,sampson-np}
                         load metric
   --no-coord-adjust     disable conjunct-group renumbering inside coordination
@@ -289,6 +293,20 @@ def test_usage_and_config_errors_are_pinned(monkeypatch, capsys, argv, err):
     except SystemExit as exc:  # argparse's own usage errors
         code = exc.code
     assert (code, *capsys.readouterr()) == (2, "", err)
+
+
+FIXTURES = {"dep": [DEP_FIXTURE], "ptb": [PTB_FIXTURE, PTB_PUNCT_FIXTURE]}
+
+
+@pytest.mark.parametrize("output", ["text", "csv", "json"])
+@pytest.mark.parametrize("method", METHODS)
+def test_the_method_sets_the_format(capsys, method, output):
+    fmt = METHODS[method].format
+    for fixture in FIXTURES[fmt]:
+        argv = ["--input", fixture, "--method", method, "--output", output]
+        given = run_cli(capsys, *argv[:2], "--format", fmt, *argv[2:])
+        assert given[0] == 0 and given[1]
+        assert run_cli(capsys, *argv) == given
 
 
 def test_unknown_method_exits_two():

@@ -726,7 +726,7 @@ def test_dep_validation_precedence(heads_and_indices, error, message):
         assert built[0] is error and message in built[1]
     if all(type(head) is int for _, head in heads_and_indices):
         text = "".join(f"{index}\tw{index}\t{head}\n" for index, head in heads_and_indices)
-        # A root written "00" is no numeral of the bulk table, so its block is walked.
+        # A root written "00" is no numeral of the bulk table, so int() reads the heads.
         for written in (text, text.replace("\t0\n", "\t00\n")):
             assert outcome(read_all, parse_dep_corpus, written) == built
 
@@ -1211,17 +1211,31 @@ def test_a_malformed_line_walks_its_own_block_only(monkeypatch, variant):
     assert read == sentences[:k] + sentences[k + 1 :]
 
 
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+# Heads as int() reads them but str() never writes them: zero-padded, signed, spaced, and
+# in Arabic-Indic digits.
+ODD_SPELLINGS = (
+    "{:03d}".format,
+    "+{}".format,
+    " {}".format,
+    lambda head: str(head).translate(ARABIC_INDIC_DIGITS),
+)
+
+
 @pytest.mark.parametrize(
     "fault, error",
     [
         ("self-head", SelfHead),
         ("head in n+1..2n", HeadOutOfRange),
+        ("head above 2n", HeadOutOfRange),
+        ("negative head", HeadOutOfRange),
         ("two roots", MultipleRoots),
         ("no root", MissingRoot),
+        ("heads written another way", None),
     ],
 )
 def test_a_written_block_that_breaks_a_head_rule_is_read_once(monkeypatch, fault, error):
-    # Every block is written as str() writes it, so its one bulk read decides it.
+    # Every block is laid out and numbered as str() writes it, so its one bulk read decides it.
     rng = random.Random(35)
     columns = [[*s.heads] for s in treegen.random_dep_sentences(seed=35, count=200, max_len=25)]
     for heads in (heads for heads in columns[2::5] if len(heads) > 1):
@@ -1231,24 +1245,32 @@ def test_a_written_block_that_breaks_a_head_rule_is_read_once(monkeypatch, fault
             heads[unit - 1] = unit
         elif fault == "head in n+1..2n":
             heads[unit - 1] = rng.randint(n + 1, 2 * n)
+        elif fault == "head above 2n":  # and above 2 * 25: past every numeral the read holds
+            heads[unit - 1] = rng.randint(51, 75)
+        elif fault == "negative head":
+            heads[unit - 1] = -rng.randint(1, 2 * n)
         elif fault == "two roots":
             heads[unit - 1] = 0
-        else:
+        elif fault == "no root":
             heads[root - 1] = rng.choice([head for head in range(1, n + 1) if head != root])
+    spell = (lambda head: rng.choice(ODD_SPELLINGS)(head)) if error is None else str
     blocks = (
-        "\n".join(f"{unit}\tw{unit}\t{head}" for unit, head in enumerate(heads, start=1))
+        "\n".join(f"{unit}\tw{unit}\t{spell(head)}" for unit, head in enumerate(heads, start=1))
         for heads in columns
     )
     text = "\n\n".join(blocks) + "\n"
     built = [outcome(treegen.from_heads, heads) for heads in columns]
     faults = [fault for fault in built if type(fault) is tuple]
-    assert {kind for kind, _ in faults} == {error} and len(faults) >= 30
+    if error is None:
+        assert faults == [] and all(f"\t{odd}" in text for odd in ("00", "+", " ", "\u0660"))
+    else:
+        assert {kind for kind, _ in faults} == {error} and len(faults) >= 30
     errors: list[Exception] = []
     sentences, read, walked = read_recording(monkeypatch, text, on_error=errors.append)
     assert len(read) == len(columns) and walked == []
     assert sentences == [sentence for sentence in built if type(sentence) is not tuple]
     assert [(type(exc), str(exc)) for exc in errors] == faults
-    assert outcome(read_all, parse_dep_corpus, text) == faults[0]
+    assert outcome(read_all, parse_dep_corpus, text) == (faults[0] if faults else built)
 
 
 @settings(max_examples=100, deadline=None)
