@@ -113,26 +113,24 @@ def _check(args: argparse.Namespace) -> tuple[int, ...]:
     """Check that the options fit together; returns the parsed thresholds.
 
     Raises ValueError when --format is not the method's input format, a flag
-    does not apply to that format, or a threshold is not an integer.
+    does not apply to that input, or a threshold is not an integer.
     """
     if args.format not in (None, fmt := _METHODS[args.method].format):
         raise ValueError("method dep-load requires --format dep; tree methods require --format ptb")
-    if fmt == "dep":
-        for given, flag in (
-            (not args.coordination_adjust, "--no-coord-adjust"),
-            (not args.strip_punctuation, "--keep-punct"),
-            (args.np_selector is not None, "--np-selector"),
-        ):
-            if given:
-                raise ValueError(f"{flag} applies only to --format ptb")
-    elif args.strict_rightward:
-        raise ValueError("--strict-rightward applies only to --format dep")
+    for given, flag, kind in (
+        (not args.coordination_adjust, "--no-coord-adjust", "ptb"),
+        (not args.strip_punctuation, "--keep-punct", "ptb"),
+        (args.np_selector is not None, "--np-selector", "ptb"),
+        (args.strict_rightward, "--strict-rightward", "dep"),
+    ):
+        if given and kind != fmt:
+            raise ValueError(f"{flag} applies only to {kind} input")
     parts = args.thresholds.split(",")
     try:
         return tuple(map(int, parts))
     except ValueError:
         pass
-    # Python 3.11+ refuses to convert an integer longer than its digit limit.
+    # Python refuses, from 3.10.7 on, to convert an integer longer than its digit limit.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     for digits in (part.strip().lstrip("+-") for part in parts):
         if limit and len(digits) > limit and digits.isdecimal():

@@ -9,10 +9,11 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -166,26 +167,61 @@ def test_method_format_mismatch_is_config_error(capsys, method):
         )
 
 
+def check_input_bound_flags(capsys, kind: str) -> None:
+    """Every flag whose --help says "kind only", with each value it takes, is refused by a
+    method of the other input and taken by a method of its own, with and without --format."""
+    actions = [a for a in cli.build_parser()._actions if re.search(rf"\b{kind} only\)$", a.help)]
+    assert actions  # the help still says which input each flag takes
+    for action in actions:
+        flag = action.option_strings[0]
+        argvs = [[flag, choice] for choice in action.choices or ()] or [[flag]]
+        for method, (fmt, _, _) in METHODS.items():
+            fixture = DEP_FIXTURE if fmt == "dep" else PTB_FIXTURE
+            for given, argv in product((["--format", fmt], []), argvs):
+                code, out, err = run_cli(capsys, "--input", fixture, *given, "--method", method, *argv)
+                if fmt == kind:
+                    assert (code, err) == (0, "")
+                else:
+                    assert (code, out, err) == (2, "", f"memload: {flag} applies only to {kind} input\n")
+
+
 def test_tree_flags_rejected_for_dep_input(capsys):
-    for flags, named in (
-        (["--no-coord-adjust"], "--no-coord-adjust"),
-        (["--keep-punct"], "--keep-punct"),
-        (["--np-selector", "all"], "--np-selector"),
-        # The first flag in the check's order is named, whatever the order given.
-        (["--keep-punct", "--no-coord-adjust"], "--no-coord-adjust"),
-    ):
-        for given in (["--format", "dep"], []):  # the method sets the format
-            assert run_cli(
-                capsys, "--input", DEP_FIXTURE, *given, "--method", "dep-load", *flags
-            ) == (2, "", f"memload: {named} applies only to --format ptb\n")
+    check_input_bound_flags(capsys, "ptb")
+    # The first flag in the check's order is named, whatever the order given.
+    for given in (["--format", "dep"], []):  # the method sets the format
+        assert run_cli(
+            capsys, "--input", DEP_FIXTURE, *given, "--method", "dep-load",
+            "--keep-punct", "--no-coord-adjust",
+        ) == (2, "", "memload: --no-coord-adjust applies only to ptb input\n")
 
 
 def test_rightward_flag_rejected_for_ptb_input(capsys):
-    for method in (method for method in METHODS if METHODS[method].format == "ptb"):
-        for given in (["--format", "ptb"], []):  # the method sets the format
-            assert run_cli(
-                capsys, "--input", PTB_FIXTURE, *given, "--method", method, "--strict-rightward"
-            ) == (2, "", "memload: --strict-rightward applies only to --format dep\n")
+    check_input_bound_flags(capsys, "dep")
+
+
+def test_np_selector_reaches_the_np_methods_only(tmp_path, capsys):
+    corpus = tmp_path / "nested_np.ptb"
+    corpus.write_text("(S (NP (NP (N a)) (PP (P of) (NP (N b)))) (VP (V c)))\n", encoding="utf-8")
+
+    def report(method: str, *selector: str) -> str:
+        code, out, err = run_cli(
+            capsys, "--input", str(corpus), "--method", method, "--output", "csv", *selector
+        )
+        assert (code, err) == (0, "")
+        return out
+
+    def rows(out: str) -> list[str]:
+        return [line for line in out.splitlines()[1:] if not line.startswith("#")]
+
+    for method in ("yngve-np", "sampson-np"):
+        nested = report(method, "--np-selector", "all")
+        assert nested == report(method)  # all is the default
+        assert rows(nested) == ["0,0,0", "1,2,0", "2,1,1"]
+        assert rows(report(method, "--np-selector", "maximal")) == ["0,0,0", "1,1,1"]
+    for method in ("yngve-word", "sampson-word"):  # a word method has no NP to select
+        plain = report(method)
+        for selector in ("all", "maximal"):
+            assert report(method, "--np-selector", selector) == plain
 
 
 def test_bad_thresholds_are_config_errors(capsys):
@@ -280,7 +316,7 @@ def test_help_at_80_columns_is_pinned(monkeypatch, capsys):
         (["--format", "dep", "--method", "dep-load", "--thresholds", "1,a"],
          "memload: --thresholds wants comma-separated integers, got '1,a'\n"),
         (["--format", "dep", "--method", "dep-load", "--keep-punct"],
-         "memload: --keep-punct applies only to --format ptb\n"),
+         "memload: --keep-punct applies only to ptb input\n"),
         (["--format", "ptb", "--method", "dep-load"],
          "memload: method dep-load requires --format dep; tree methods require --format ptb\n"),
     ],
