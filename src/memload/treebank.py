@@ -17,17 +17,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 __all__ = [
     "TreebankError",
     "PtbParseError",
-    "UnbalancedBrackets",
-    "EmptyTree",
-    "LeafWithoutLabel",
     "EmptyAfterNormalization",
     "DepFormatError",
     "MalformedLine",
-    "NonContiguousIndices",
-    "MultipleRoots",
-    "MissingRoot",
-    "SelfHead",
-    "HeadOutOfRange",
     "ConstituencyTree",
     "DependencyUnit",
     "DependencySentence",
@@ -53,24 +45,12 @@ class PtbParseError(TreebankError):
         return f"{self.args[0]} (line {self.line}, column {self.column})"
 
 
-class UnbalancedBrackets(PtbParseError):
-    """An opening bracket is never closed, or a closing bracket has no match."""
-
-
-class EmptyTree(PtbParseError):
-    """A bracketed node with no children, such as () or (X)."""
-
-
-class LeafWithoutLabel(PtbParseError):
-    """A surface token found where a labeled tree was required."""
-
-
 class EmptyAfterNormalization(TreebankError):
     """Normalization removed every leaf; the sentence has no content left."""
 
 
 class DepFormatError(TreebankError):
-    """Base class for dependency input errors."""
+    """Malformed dependency input: a sentence that breaks an index or head rule."""
 
 
 class MalformedLine(DepFormatError):
@@ -82,26 +62,6 @@ class MalformedLine(DepFormatError):
 
     def __str__(self) -> str:
         return f"{self.args[0]} (line {self.line_no})"
-
-
-class NonContiguousIndices(DepFormatError):
-    """Unit indices of a sentence are not exactly 1..n in order."""
-
-
-class MultipleRoots(DepFormatError):
-    """More than one unit has head 0."""
-
-
-class MissingRoot(DepFormatError):
-    """No unit has head 0."""
-
-
-class SelfHead(DepFormatError):
-    """A unit names itself as its head."""
-
-
-class HeadOutOfRange(DepFormatError):
-    """A head index falls outside 0..n."""
 
 
 def _read_only(self, name: str, value: object = None) -> None:
@@ -242,38 +202,38 @@ def parse_ptb_corpus(
     matches = enumerate(_TOKEN_RE.finditer(text))
     line, line_start = 1, 0  # the last reported error's line, and the offset it starts at
 
-    def report(kind: type[PtbParseError], message: str, index: int) -> None:
+    def report(message: str, index: int) -> None:
         nonlocal line, line_start
         offset = next(match.start() for k, match in matches if k == index)
         line += text.count("\n", line_start, offset)
         line_start = max(line_start, text.rfind("\n", line_start, offset) + 1)
         if on_error is None:
             # Not held in a local: this frame, on the traceback, would keep it in a cycle.
-            raise kind(message, line, offset - line_start + 1)
-        on_error(kind(message, line, offset - line_start + 1))
+            raise PtbParseError(message, line, offset - line_start + 1)
+        on_error(PtbParseError(message, line, offset - line_start + 1))
 
-    def skip(kind: type[PtbParseError], message: str, index: int) -> None:
+    def skip(message: str, index: int) -> None:
         """Drop the open top-level group, unbuilt, and report its first fault where it closes."""
         depth = len(stack)
         while depth and (token := next(tokens, (0, None))[1]) is not None:
             depth += (token == "(") - (token == ")")
         if not depth:  # else the text ends inside the group, and "unclosed '('" reports it
             stack.clear()
-            report(kind, message, index)
+            report(message, index)
 
     for index, token in tokens:
         if token == "(":
             stack.append([None, [], index])
             if len(stack) > 1 and stack[-2][0] is None:  # a "(" where a label should be
                 if len(stack) > 2:
-                    skip(PtbParseError, "node without a label", stack[-2][2])
+                    skip("node without a label", stack[-2][2])
                 else:
                     stack[0][0] = ""
         elif not stack:
             if token == ")":
-                report(UnbalancedBrackets, "unmatched ')'", index)
+                report("unmatched ')'", index)
             else:
-                report(LeafWithoutLabel, f"surface token {token!r} outside any tree", index)
+                report(f"surface token {token!r} outside any tree", index)
         elif token != ")":
             node = stack[-1]
             if node[0] is None:
@@ -281,21 +241,20 @@ def parse_ptb_corpus(
             elif node[0]:
                 node[1].append(leaves.get(token) or leaves.setdefault(token, _node("", (), token)))
             else:
-                message = f"surface token {token!r} directly under an unlabeled wrapper"
-                skip(LeafWithoutLabel, message, index)
+                skip(f"surface token {token!r} directly under an unlabeled wrapper", index)
         else:
             label, children, start = stack.pop()
             if label is None:
-                skip(EmptyTree, "empty node", start)
+                skip("empty node", start)
             elif not children:
-                skip(EmptyTree, f"node {label!r} has no children", start)
+                skip(f"node {label!r} has no children", start)
             elif label:
                 parent = stack[-1][1] if stack else trees
                 parent.append(_node(label, tuple(children)))
             else:
                 trees.extend(children)
     if stack:
-        report(UnbalancedBrackets, "unclosed '('", stack[0][2])
+        report("unclosed '('", stack[0][2])
     return trees
 
 
@@ -367,14 +326,14 @@ def _check_heads(heads: tuple[int, ...]) -> None:
     n = len(heads)
     for unit, head in enumerate(heads, start=1):
         if head == unit:
-            raise SelfHead(f"unit {unit} depends on itself")
+            raise DepFormatError(f"unit {unit} depends on itself")
         if not 0 <= head <= n:
-            raise HeadOutOfRange(f"unit {unit} has head {head}, outside 0..{n}")
+            raise DepFormatError(f"unit {unit} has head {head}, outside 0..{n}")
     roots = [unit for unit, head in enumerate(heads, start=1) if head == 0]
     if len(roots) > 1:
-        raise MultipleRoots(f"units {roots} all have head 0")
+        raise DepFormatError(f"units {roots} all have head 0")
     if not roots:
-        raise MissingRoot("no unit has head 0")
+        raise DepFormatError("no unit has head 0")
 
 
 class DependencySentence:
@@ -394,7 +353,7 @@ class DependencySentence:
         indices, surfaces, heads = [*zip(*units, strict=True)] or ((), (), ())
         if indices != tuple(range(1, len(indices) + 1)):
             message = f"unit indices must be exactly 1..{len(indices)} in order, got {[*indices]}"
-            raise NonContiguousIndices(message)
+            raise DepFormatError(message)
         heads = tuple(map(index, heads))  # a head that is not an integer raises TypeError
         _check_heads(heads)
         _set_heads(self, heads)

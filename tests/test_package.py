@@ -36,20 +36,12 @@ PUBLIC_NAMES = {
     "DependencySentence",
     "DependencyUnit",
     "EmptyAfterNormalization",
-    "EmptyTree",
-    "HeadOutOfRange",
-    "LeafWithoutLabel",
     "LeftwardHead",
     "MalformedLine",
     "MetricConfig",
-    "MissingRoot",
-    "MultipleRoots",
-    "NonContiguousIndices",
     "NumberingScheme",
     "PtbParseError",
-    "SelfHead",
     "TreebankError",
-    "UnbalancedBrackets",
     "ensure_rightward",
     "load_profile",
     "normalize_tree",
@@ -129,6 +121,30 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_public_error_class_is_raised():
+    # An error class that no raise names is surface that only tests can reach.
+    source = Path(memload.__file__).parent
+    raised = set()
+    for path in sorted(source.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
+    public = [getattr(memload, name) for name in memload.__all__]
+    errors = {
+        cls.__name__: cls
+        for cls in public
+        if isinstance(cls, type) and issubclass(cls, memload.TreebankError)
+    }
+    dead = [
+        name
+        for name, cls in errors.items()
+        if not any(issubclass(errors[other], cls) for other in raised & errors.keys())
+    ]
+    assert dead == [] and len(errors) == 6
 
 
 def test_no_module_keeps_a_private_name_it_never_reads():
