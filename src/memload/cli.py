@@ -4,8 +4,8 @@ Reads a bracketed (ptb) or tab-separated dependency (dep) corpus, computes
 the chosen load metric for every sentence, and writes the unit and sentence
 frequency tables to stdout.  Bad sentences are skipped and counted on
 stderr unless --strict is given.  Exit codes: 0 success, 1 unreadable input,
-unwritable output or a sentence error under --strict, 2 invalid option
-combination, 130 interrupted.
+unwritable output, a sentence error under --strict or out of memory, 2
+invalid option combination, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import gc
 import os
 import sys
 from collections import Counter
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -143,9 +143,9 @@ def _check(args: argparse.Namespace) -> tuple[int, ...]:
 def _tally(text: str, args: argparse.Namespace) -> tuple[Counter[int], Counter[int], int, int]:
     """Parse and measure every sentence; returns unit and maximum tables, attempted, skipped."""
     method = _METHODS[args.method]
-    # Classes, not exceptions: a raised one's traceback ties the reader's frame into a cycle.
-    errors: list[type[TreebankError]] = []
-    on_error = None if args.strict else (lambda exc: errors.append(type(exc)))
+    # A count, not the errors: a raised one's traceback ties the reader's frame into a cycle.
+    errors = count()
+    on_error = None if args.strict else (lambda exc: next(errors))
     if method.scheme is None:
         sentences = parse_dep_corpus(text, on_error=on_error)
         measure = load_profile  # read from this module's globals, as a tracer may wrap it
@@ -180,8 +180,8 @@ def _tally(text: str, args: argparse.Namespace) -> tuple[Counter[int], Counter[i
             yield values
 
     units = Counter(chain.from_iterable(measured()))
-    # The reader reports its errors as it goes: read them only once it is done.
-    return units, maxima, attempted + len(errors), skipped + len(errors)
+    reported = next(errors)  # the reader reports as it goes: read the count once it is done
+    return units, maxima, attempted + reported, skipped + reported
 
 
 def _run(args: argparse.Namespace, thresholds: tuple[int, ...]) -> int:

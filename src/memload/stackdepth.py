@@ -42,7 +42,7 @@ class MetricConfig(NamedTuple):
 
     The unit is chosen by the function called: word_depths measures every
     leaf, np_depths every NP node, or with maximal_np only those without an
-    NP ancestor.
+    NP ancestor: the walk stops at each one and does not go inside it.
     """
 
     scheme: NumberingScheme
@@ -53,26 +53,26 @@ class MetricConfig(NamedTuple):
 def _walk_depths(tree: ConstituencyTree, config: MetricConfig, measure_nps: bool) -> tuple[int, ...]:
     """Path-sum depths of the measured units, in preorder.
 
-    Walks an explicit stack of (node, depth, inside an NP), so tree height
-    is not bounded by the recursion limit.
+    Walks an explicit stack of (node, depth) pairs, so tree height is not
+    bounded by the recursion limit.
     """
     if not isinstance(config.scheme, NumberingScheme):
         raise TypeError(f"scheme must be a NumberingScheme, got {config.scheme!r}")
     yngve = config.scheme is NumberingScheme.YNGVE
     adjust = config.coordination_adjust
     values: list[int] = []
-    stack = [(tree, 0, False)]
+    stack = [(tree, 0)]
     while stack:
-        node, depth, inside_np = stack.pop()
+        node, depth = stack.pop()
         children = node.children
         if not children:
             if not measure_nps:
                 values.append(depth)
             continue
-        is_np = node.label == "NP"
-        if measure_nps and is_np and not (config.maximal_np and inside_np):
+        if measure_nps and node.label == "NP":
             values.append(depth)
-        inside_np = inside_np or is_np
+            if config.maximal_np:  # the first NP on a path is the maximal one
+                continue
         # Pushed right to left, so the leftmost child is visited next.
         if adjust and not _COORDINATORS.isdisjoint(map(_label, children[1:])):
             # Coordinated (see MetricConfig): groups counts the real children
@@ -85,13 +85,13 @@ def _walk_depths(tree: ConstituencyTree, config: MetricConfig, measure_nps: bool
                 else:
                     number = groups
                     groups += 1
-                stack.append((child, depth + (number if yngve else min(number, 1)), inside_np))
+                stack.append((child, depth + (number if yngve else min(number, 1))))
             continue
         # Uncoordinated: the last child gets 0; each one left of it one more
         # under yngve, 1 under sampson.
         child_depth = depth
         for child in reversed(children):
-            stack.append((child, child_depth, inside_np))
+            stack.append((child, child_depth))
             child_depth = child_depth + 1 if yngve else depth + 1
     return tuple(values)
 

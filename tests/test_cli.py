@@ -635,6 +635,25 @@ def test_the_tally_holds_one_sentence_at_a_time(monkeypatch):
     assert peak < 250_000  # every sentence's values held at once take over 7x that
 
 
+def test_the_tally_counts_reader_errors_without_holding_them(monkeypatch):
+    def erring(text, on_error=None):
+        for _ in range(200_000):
+            on_error(TreebankError("bad block"))
+        return []
+
+    monkeypatch.setattr(cli, "parse_dep_corpus", erring)
+    args = cli.build_parser().parse_args(["--input", "unused", "--method", "dep-load"])
+    tracemalloc.start()
+    try:
+        units, maxima, attempted, skipped = cli._tally("", args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not units and not maxima
+    assert (attempted, skipped) == (200_000, 200_000)
+    assert peak < 50_000  # one reference per error alone takes 1.6 MB
+
+
 def yielding(reader):
     """The reader as a generator: its sentences one at a time, its errors after the last one."""
     def read(text, on_error=None):

@@ -240,18 +240,47 @@ def np_grouped_stack_oracle(tree) -> tuple[int, ...]:
     return tuple(values)
 
 
+def np_rule_depths(tree, scheme, adjust) -> list[tuple[int, bool]]:
+    """(depth, has no NP ancestor) of every NP in preorder, numbered by conjunct_rule."""
+    rows = []
+
+    def visit(node, depth, outermost):
+        if node.label == "NP":
+            rows.append((depth, outermost))
+        labels = [child.label for child in node.children]
+        # Unadjusted, every node numbers its children as if none coordinated.
+        charges = conjunct_rule(labels if adjust else [""] * len(labels), scheme)
+        for child, charge in zip(node.children, charges):
+            visit(child, depth + charge, outermost and node.label != "NP")
+
+    visit(tree, 0, True)
+    return rows
+
+
 def test_np_depths_match_the_stack_machines():
     trees = treegen.random_trees(
         seed=36, count=2000, max_depth=7, labels=treegen.COORD_LABELS
     )
     measured = 0
+    dropped = dict.fromkeys(itertools.product((YNGVE, SAMPSON), (False, True)), 0)
     for tree in trees:
         yngve = np_depths(tree, config(YNGVE))
         sampson = np_depths(tree, config(SAMPSON))
         assert yngve == np_stack_oracle(tree)
         assert sampson == np_grouped_stack_oracle(tree)
         measured += len(yngve) + len(sampson)
+        for scheme, adjust in dropped:
+            rows = np_rule_depths(tree, scheme, adjust)
+            every_np = tuple(depth for depth, _ in rows)
+            if not adjust:
+                assert every_np == (yngve if scheme is YNGVE else sampson)
+            assert np_depths(tree, config(scheme, adjust)) == every_np
+            # Maximal: the all-NP values kept only at the NPs without an NP ancestor.
+            maximal = np_depths(tree, config(scheme, adjust, maximal_np=True))
+            assert maximal == tuple(depth for depth, outermost in rows if outermost)
+            dropped[scheme, adjust] += len(every_np) - len(maximal)
     assert measured > 10_000
+    assert min(dropped.values()) > 1_000
 
 
 def test_oracles_match_unadjusted_depths_on_random_trees():
